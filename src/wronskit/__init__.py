@@ -10,7 +10,6 @@ from .combinatorics import (
     check_even_binomial_sum,
     check_odd_binomial_sum,
     falling_factorial,
-    stirling_first,
 )
 from .independence import (
     ChainSpec,
@@ -18,7 +17,6 @@ from .independence import (
     coordinate_basis,
     coordinate_matrix,
     coordinates_in_basis,
-    derivative_chain,
     scaled_coordinate_matrix,
     two_by_two,
     verify_basis_columns,
@@ -46,11 +44,8 @@ from .structured import (
     verify_triangularization,
 )
 from .trigring import (
-    OperatorBase,
-    OperatorPower,
     Trig,
     TrigPoly,
-    apply_operator,
     basis_element,
     differentiate,
     eval_at_zero,
@@ -64,12 +59,9 @@ __all__ = [
     "ExactMatrix",
     "MatrixKind",
     "MatrixSpec",
-    "OperatorBase",
-    "OperatorPower",
     "Trig",
     "TrigPoly",
     "VerificationReport",
-    "apply_operator",
     "basis_element",
     "binomial",
     "binomial_pattern_matrix",
@@ -79,7 +71,6 @@ __all__ = [
     "coordinate_basis",
     "coordinate_matrix",
     "coordinates_in_basis",
-    "derivative_chain",
     "det_closed_form",
     "det_identity",
     "differentiate",
@@ -93,7 +84,6 @@ __all__ = [
     "pascal_product",
     "row_shift_matrix",
     "scaled_coordinate_matrix",
-    "stirling_first",
     "two_by_two",
     "verify_basis_columns",
     "verify_dependence",

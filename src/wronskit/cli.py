@@ -13,8 +13,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -44,6 +43,16 @@ from .trigring import Trig, is_constant
 
 SUITES = ("identities", "determinants", "pascal", "wronskian", "coords", "open-identity")
 
+# Largest n that each capped sweep runs, whatever --max-n asks; the reports
+# print them.  The symbolic determinants behind the wronskian-suite sweeps cost
+# about 9x more per step of n.
+LIMITS = {
+    "wronskian": 3,      # wronskian-factorization, even-hankel-transform, wronskian-transform
+    "dependence": 2,     # wronskian-dependence
+    "affine": 7,         # binom-affine determinants
+    "basis_columns": 3,  # coordinate-columns
+}
+
 # fixed affine-progression grid swept by the determinants suite
 AFFINE_SLOPES = (-2, -1, 1, 2, 3, Fraction(1, 2))
 AFFINE_OFFSETS = (-1, 0, 1, 2)
@@ -59,16 +68,61 @@ NODE_TUPLES = (
 )
 
 
+# Converters from a config-file value or a flag value to a SuiteConfig field.
+# List fields take a JSON list or a comma string, the form the flags take.
+
+def _parts(value) -> list:
+    if isinstance(value, str):
+        value = [value]
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list or a comma string, got {value!r}")
+    out = []
+    for item in value:
+        if isinstance(item, str):
+            out.extend(part.strip() for part in item.split(",") if part.strip())
+        else:
+            out.append(item)
+    return out
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _suites(value) -> tuple[str, ...]:
+    names = tuple(dict.fromkeys(map(_text, _parts(value))))
+    return SUITES if "all" in names else names
+
+
+def _shifts(value) -> tuple[int, ...]:
+    return tuple(dict.fromkeys(int(s) if isinstance(s, str) else _integer(s) for s in _parts(value)))
+
+
+def _kinds(value) -> tuple[Trig, ...]:
+    return tuple(dict.fromkeys(map(Trig, _parts(value))))
+
+
+def _setting(default, convert):
+    return field(default=default, metadata={"convert": convert})
+
+
 @dataclass
 class SuiteConfig:
-    suites: tuple[str, ...] = SUITES
-    max_n: int = 3
-    max_j: int | None = None
-    shifts: tuple[int, ...] = (0, 1, 2)
-    kinds: tuple[Trig, ...] = (Trig.SIN, Trig.COS)
-    fmt: str = "json"
-    output: str | None = None
-    jobs: int = 1
+    suites: tuple[str, ...] = _setting(SUITES, _suites)
+    max_n: int = _setting(3, _integer)
+    max_j: int | None = _setting(None, _integer)
+    shifts: tuple[int, ...] = _setting((0, 1, 2), _shifts)
+    kinds: tuple[Trig, ...] = _setting((Trig.SIN, Trig.COS), _kinds)
+    fmt: str = _setting("json", _text)
+    output: str | None = _setting(None, _text)
 
     def validate(self) -> None:
         bad = [s for s in self.suites if s not in SUITES]
@@ -86,76 +140,57 @@ class SuiteConfig:
             raise ValueError("kinds must be nonempty")
         if self.fmt not in ("json", "markdown"):
             raise ValueError("format must be json or markdown")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
-Check = tuple[str, Callable[[], VerificationReport]]
+# (suite, checker, arguments): the check is checker(*arguments)
+Check = tuple[str, Callable[..., VerificationReport], tuple]
+
+
+def _upto(max_n: int, limit: str, start: int = 1) -> range:
+    return range(start, min(max_n, LIMITS[limit]) + 1)
 
 
 def plan_checks(config: SuiteConfig) -> list[Check]:
-    """Expand the configured suites into independent check thunks."""
-    max_j = config.max_j if config.max_j is not None else config.max_n
+    """Expand the configured suites into independent checks."""
+    max_n, shifts, kinds = config.max_n, config.shifts, config.kinds
+    ns = range(1, max_n + 1)
+    js = range(1, (config.max_j or max_n) + 1)
     plan: list[Check] = []
-
-    def add(suite: str, fn: Callable[..., VerificationReport], *args) -> None:
-        plan.append((suite, lambda fn=fn, args=args: fn(*args)))
-
     if "identities" in config.suites:
-        for n in range(1, config.max_n + 1):
-            for j in range(1, max_j + 1):
-                add("identities", check_odd_binomial_sum, n, j)
+        plan += [("identities", check_odd_binomial_sum, (n, j)) for n in ns for j in js]
     if "open-identity" in config.suites:
-        for n in range(1, config.max_n + 1):
-            for j in range(1, max_j + 1):
-                add("open-identity", check_even_binomial_sum, n, j)
+        plan += [("open-identity", check_even_binomial_sum, (n, j)) for n in ns for j in js]
     if "determinants" in config.suites:
-        for n in range(1, config.max_n + 1):
-            add("determinants", det_identity, MatrixSpec(MatrixKind.BINOM_ODD, n=n))
-            add("determinants", det_identity, MatrixSpec(MatrixKind.BINOM_EVEN, n=n))
-            add("determinants", verify_triangularization, n)
-            add("determinants", verify_even_from_odd, n)
-        for n in range(1, min(config.max_n, 7) + 1):
-            for a in AFFINE_SLOPES:
-                for b in AFFINE_OFFSETS:
-                    add("determinants", det_identity, MatrixSpec(MatrixKind.BINOM_AFFINE, n=n, a=a, b=b))
-        for nodes in NODE_TUPLES:
-            add("determinants", det_identity, MatrixSpec(MatrixKind.BINOM_NODES, nodes=nodes))
+        for n in ns:
+            plan += [("determinants", det_identity, (MatrixSpec(MatrixKind.BINOM_ODD, n=n),)),
+                     ("determinants", det_identity, (MatrixSpec(MatrixKind.BINOM_EVEN, n=n),)),
+                     ("determinants", verify_triangularization, (n,)),
+                     ("determinants", verify_even_from_odd, (n,))]
+        plan += [("determinants", det_identity, (MatrixSpec(MatrixKind.BINOM_AFFINE, n=n, a=a, b=b),))
+                 for n in _upto(max_n, "affine") for a in AFFINE_SLOPES for b in AFFINE_OFFSETS]
+        plan += [("determinants", det_identity, (MatrixSpec(MatrixKind.BINOM_NODES, nodes=nodes),))
+                 for nodes in NODE_TUPLES]
     if "pascal" in config.suites:
-        for n in range(2, config.max_n + 1):
-            add("pascal", verify_pascal_product, n)
+        plan += [("pascal", verify_pascal_product, (n,)) for n in range(2, max_n + 1)]
     if "wronskian" in config.suites:
-        for n in range(0, min(config.max_n, 3) + 1):
-            for shift in config.shifts:
-                for kind in config.kinds:
-                    add("wronskian", verify_wronskian_factorization, n, shift, kind)
-        for n in range(0, min(config.max_n, 2) + 1):
-            for kind in config.kinds:
-                add("wronskian", verify_dependence, n, kind)
-        for steps in (1, 2, 3):
-            for shift in (0, 1, 2):
-                for n in range(1, min(config.max_n, 3) + 1):
-                    for kind in config.kinds:
-                        add("wronskian", verify_even_hankel_transform, steps, shift, n, kind)
-        for n in range(1, min(config.max_n, 3) + 1):
-            for kind in config.kinds:
-                add("wronskian", verify_wronskian_transform, n, kind)
+        plan += [("wronskian", verify_wronskian_factorization, (n, shift, kind))
+                 for n in _upto(max_n, "wronskian", 0) for shift in shifts for kind in kinds]
+        plan += [("wronskian", verify_dependence, (n, kind))
+                 for n in _upto(max_n, "dependence", 0) for kind in kinds]
+        plan += [("wronskian", verify_even_hankel_transform, (steps, shift, n, kind))
+                 for steps in (1, 2, 3) for shift in shifts
+                 for n in _upto(max_n, "wronskian") for kind in kinds]
+        plan += [("wronskian", verify_wronskian_transform, (n, kind))
+                 for n in _upto(max_n, "wronskian") for kind in kinds]
     if "coords" in config.suites:
-        for n in range(1, config.max_n + 1):
-            add("coords", verify_full_rank, n)
-        for n in range(1, min(config.max_n, 3) + 1):
-            add("coords", verify_basis_columns, n)
+        plan += [("coords", verify_full_rank, (n,)) for n in ns]
+        plan += [("coords", verify_basis_columns, (n,)) for n in _upto(max_n, "basis_columns")]
     return plan
 
 
 def run_checks(config: SuiteConfig) -> tuple[list[tuple[str, VerificationReport]], float]:
     started = time.perf_counter()
-    plan = plan_checks(config)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(lambda item: (item[0], item[1]()), plan))
-    else:
-        reports = [(suite, thunk()) for suite, thunk in plan]
+    reports = [(suite, fn(*args)) for suite, fn, args in plan_checks(config)]
     duration = (time.perf_counter() - started) * 1000.0
     reports.sort(key=lambda sr: (sr[0], sr[1].check, json.dumps(sr[1].params, sort_keys=True)))
     return reports, duration
@@ -180,6 +215,7 @@ def render_json(reports: list[tuple[str, VerificationReport]], duration: float) 
     records = [to_record(s, r) for s, r in reports]
     passed = sum(1 for r in records if r["pass"])
     doc = {
+        "limits": LIMITS,
         "records": records,
         "aggregate": {
             "total": len(records),
@@ -192,7 +228,8 @@ def render_json(reports: list[tuple[str, VerificationReport]], duration: float) 
 
 
 def render_markdown(reports: list[tuple[str, VerificationReport]], duration: float) -> str:
-    lines = ["# verification report"]
+    limits = ", ".join(f"{name} {n}" for name, n in LIMITS.items())
+    lines = ["# verification report", "", f"limits (largest n): {limits}"]
     current = None
     for suite, rep in reports:
         if suite != current:
@@ -217,23 +254,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from exc
-
-
-def _parse_kinds(text: str) -> tuple[Trig, ...]:
-    out = []
-    for part in text.split(","):
-        try:
-            out.append(Trig(part.strip()))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"kind must be sin or cos, got {part!r}") from exc
-    return tuple(out)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wronskit",
@@ -242,18 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run suites of checks and emit a report")
-    verify.add_argument("--suite", action="append", default=None,
+    verify.add_argument("--suite", dest="suites", action="append", default=None,
                         help="suite name or comma list; repeatable; 'all' selects every suite")
     verify.add_argument("--max-n", type=int, default=None, help="largest family parameter n")
     verify.add_argument("--max-j", type=int, default=None,
                         help="largest column index for the identity sweeps (default: max-n)")
-    verify.add_argument("--shifts", type=_parse_int_list, default=None,
+    verify.add_argument("--shifts", default=None,
                         help="comma list of derivative shifts for the wronskian suite")
-    verify.add_argument("--kinds", type=_parse_kinds, default=None, help="comma list: sin,cos")
+    verify.add_argument("--kinds", default=None, help="comma list: sin,cos")
     verify.add_argument("--format", dest="fmt", choices=("json", "markdown"), default=None)
     verify.add_argument("--output", default=None, help="write the report here instead of stdout")
     verify.add_argument("--config", default=None, help="JSON config file; flags override it")
-    verify.add_argument("--jobs", type=int, default=None, help="worker threads (default 1)")
 
     matrix = sub.add_parser("matrix", help="print one structured matrix")
     matrix.add_argument("--kind", required=True, choices=[k.value for k in MatrixKind])
@@ -281,49 +300,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> SuiteConfig:
-    config = SuiteConfig()
+    """Merge the config file and the flags, flags last; a null or absent
+    value keeps the default.  Both go through the same per-field converter."""
+    raw = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        known = {f.name for f in fields(SuiteConfig)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError("the config file must hold a JSON object")
+        unknown = set(raw) - {f.name for f in fields(SuiteConfig)}
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        if "suites" in raw:
-            config.suites = tuple(raw["suites"])
-        if "max_n" in raw:
-            config.max_n = int(raw["max_n"])
-        if "max_j" in raw and raw["max_j"] is not None:
-            config.max_j = int(raw["max_j"])
-        if "shifts" in raw:
-            config.shifts = tuple(int(s) for s in raw["shifts"])
-        if "kinds" in raw:
-            config.kinds = tuple(Trig(k) for k in raw["kinds"])
-        if "fmt" in raw:
-            config.fmt = str(raw["fmt"])
-        if "output" in raw and raw["output"] is not None:
-            config.output = str(raw["output"])
-        if "jobs" in raw:
-            config.jobs = int(raw["jobs"])
-    if args.suite is not None:
-        names: list[str] = []
-        for chunk in args.suite:
-            names.extend(part.strip() for part in chunk.split(",") if part.strip())
-        config.suites = SUITES if "all" in names else tuple(dict.fromkeys(names))
-    if args.max_n is not None:
-        config.max_n = args.max_n
-    if args.max_j is not None:
-        config.max_j = args.max_j
-    if args.shifts is not None:
-        config.shifts = args.shifts
-    if args.kinds is not None:
-        config.kinds = args.kinds
-    if args.fmt is not None:
-        config.fmt = args.fmt
-    if args.output is not None:
-        config.output = args.output
-    if args.jobs is not None:
-        config.jobs = args.jobs
+    values = {}
+    for f in fields(SuiteConfig):
+        for given in (raw.get(f.name), getattr(args, f.name)):
+            if given is None:
+                continue
+            try:
+                values[f.name] = f.metadata["convert"](given)
+            except ValueError as exc:
+                raise ValueError(f"{f.name}: {exc}") from None
+    config = SuiteConfig(**values)
     config.validate()
     return config
 

@@ -1,8 +1,8 @@
 """Exact combinatorial primitives.
 
 Falling factorials, binomial coefficients with arbitrary rational upper
-argument, signed Stirling numbers of the first kind, and the two
-binomial-sum identity checkers used by the determinant verifiers.
+argument, and the two binomial-sum identity checkers used by the
+determinant verifiers.
 All arithmetic is over int / fractions.Fraction; nothing here rounds.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from functools import lru_cache
 
 from .report import VerificationReport, finish_report
 
@@ -45,24 +44,6 @@ def binomial(x: Rat, k: int) -> Rat:
         # a product of k consecutive integers is divisible by k!
         return ff // math.factorial(k)
     return ff / math.factorial(k)
-
-
-@lru_cache(maxsize=None)
-def stirling_first(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind.
-
-    Defined by falling_factorial(x, n) = sum_k stirling_first(n, k) x^k,
-    computed through s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k).
-    """
-    if n < 0 or k < 0:
-        raise ValueError("stirling_first needs n, k >= 0")
-    if k > n:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return stirling_first(n - 1, k - 1) - (n - 1) * stirling_first(n - 1, k)
 
 
 def check_odd_binomial_sum(n: int, j: int) -> VerificationReport:

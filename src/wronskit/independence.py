@@ -45,10 +45,6 @@ class ChainSpec:
             raise ValueError("chain needs n >= 0, shift >= 0, count >= 1")
 
 
-def derivative_chain(spec: ChainSpec) -> list[TrigPoly]:
-    return [monomial_derivative(spec.n, spec.kind, spec.shift + i) for i in range(spec.count)]
-
-
 def wronskian_hankel(spec: ChainSpec) -> ExactMatrix:
     """count x count Wronskian matrix of the chain.
 

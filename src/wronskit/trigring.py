@@ -14,7 +14,6 @@ them safe to share across threads and caches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -231,30 +230,6 @@ def differentiate(u: TrigPoly) -> TrigPoly:
 def harmonic_step(u: TrigPoly) -> TrigPoly:
     """Apply D^2 + 1, the operator whose powers annihilate x^n sin x, x^n cos x."""
     return differentiate(differentiate(u)) + u
-
-
-class OperatorBase(Enum):
-    DERIVATIVE = "D"
-    HARMONIC = "D^2+1"
-
-
-@dataclass(frozen=True)
-class OperatorPower:
-    """base^exponent acting on the ring, exponent >= 0 (power 0 is identity)."""
-
-    base: OperatorBase
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("operator exponent must be >= 0")
-
-
-def apply_operator(op: OperatorPower, u: TrigPoly) -> TrigPoly:
-    step = differentiate if op.base is OperatorBase.DERIVATIVE else harmonic_step
-    for _ in range(op.exponent):
-        u = step(u)
-    return u
 
 
 def eval_at_zero(u: TrigPoly) -> Coeff:

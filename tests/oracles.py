@@ -46,18 +46,6 @@ def central_difference(u: TrigPoly, x: float, step: float = 1e-5) -> float:
     return (eval_float(u, x + step) - eval_float(u, x - step)) / (2.0 * step)
 
 
-def stirling_row_by_expansion(n: int) -> list[int]:
-    """Coefficients of x (x-1) ... (x-n+1), index = power of x."""
-    coeffs = [1]
-    for i in range(n):
-        out = [0] * (len(coeffs) + 1)
-        for k, ck in enumerate(coeffs):
-            out[k + 1] += ck
-            out[k] -= i * ck
-        coeffs = out
-    return coeffs
-
-
 def random_trigpoly(rng: Random, terms: int = 4, max_x: int = 3, max_c: int = 2,
                     bound: int = 4) -> TrigPoly:
     p = {}

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from wronskit.cli import SUITES, main
+from wronskit import cli
+from wronskit.cli import LIMITS, SUITES, main
 from wronskit.report import VerificationReport
 
 
@@ -51,11 +52,39 @@ def test_records_sorted_by_suite_check_params(tmp_path):
     assert {r["suite"] for r in doc["records"]} == set(SUITES)
 
 
-def test_jobs_do_not_change_the_report(tmp_path):
-    base = ["verify", "--suite", "identities,pascal", "--max-n", "4"]
-    _, serial = run_to_json(tmp_path, "serial.json", base + ["--jobs", "1"])
-    _, threaded = run_to_json(tmp_path, "threaded.json", base + ["--jobs", "4"])
-    assert strip_timings(serial) == strip_timings(threaded)
+def test_plan_order_does_not_change_the_report(tmp_path, monkeypatch):
+    argv = ["verify", "--suite", "all", "--max-n", "2"]
+    _, forward = run_to_json(tmp_path, "forward.json", argv)
+    original = cli.plan_checks
+    monkeypatch.setattr("wronskit.cli.plan_checks", lambda config: original(config)[::-1])
+    _, backward = run_to_json(tmp_path, "backward.json", argv)
+    assert strip_timings(forward) == strip_timings(backward)
+
+
+def test_report_prints_the_limits(tmp_path, capsys):
+    code, doc = run_to_json(tmp_path, "limits.json", ["verify", "--suite", "wronskian", "--max-n", "9"])
+    assert code == 0
+    assert doc["limits"] == LIMITS and doc["limits"]["wronskian"] == 3
+    factorization = [r for r in doc["records"] if r["check"] == "wronskian-factorization"]
+    assert max(r["params"]["n"] for r in factorization) == 3
+    assert main(["verify", "--suite", "pascal", "--max-n", "2", "--format", "markdown"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "limits (largest n): wronskian 3, dependence 2, affine 7, basis_columns 3"
+
+
+def test_repeated_shifts_and_kinds_run_once(tmp_path):
+    base = ["verify", "--suite", "wronskian", "--max-n", "1"]
+    _, repeated = run_to_json(tmp_path, "repeated.json", base + ["--shifts", "0,0", "--kinds", "sin,sin"])
+    _, single = run_to_json(tmp_path, "single.json", base + ["--shifts", "0", "--kinds", "sin"])
+    assert strip_timings(repeated) == strip_timings(single)
+    assert single["aggregate"]["total"] == 8
+
+
+def test_even_hankel_transform_follows_shifts(tmp_path):
+    _, doc = run_to_json(tmp_path, "shift5.json",
+                         ["verify", "--suite", "wronskian", "--max-n", "1", "--shifts", "5"])
+    shifts = {r["params"]["shift"] for r in doc["records"] if r["check"] == "even-hankel-transform"}
+    assert shifts == {5}
 
 
 def test_markdown_format(capsys):
@@ -75,6 +104,39 @@ def test_config_file_with_flag_override(tmp_path):
                             ["verify", "--config", str(cfg), "--max-n", "3"])
     assert code == 0
     assert doc["aggregate"]["total"] == 2  # flag max-n=3 overrides the file's 6
+
+
+@pytest.mark.parametrize("suites, expected", [
+    (["all"], set(SUITES)),
+    ("all", set(SUITES)),
+    ("pascal", {"pascal"}),
+    ("identities, pascal", {"identities", "pascal"}),
+    (["identities,pascal", "pascal"], {"identities", "pascal"}),
+])
+def test_config_suites_take_what_the_flag_takes(tmp_path, suites, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": suites, "max_n": 2}))
+    code, doc = run_to_json(tmp_path, "suites.json", ["verify", "--config", str(cfg)])
+    assert code == 0
+    assert {r["suite"] for r in doc["records"]} == expected
+
+
+def test_config_lists_take_comma_strings(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": "wronskian", "max_n": 1, "shifts": "0,0", "kinds": "sin"}))
+    _, from_file = run_to_json(tmp_path, "file.json", ["verify", "--config", str(cfg)])
+    _, from_flags = run_to_json(tmp_path, "flags.json", ["verify", "--suite", "wronskian", "--max-n", "1",
+                                                         "--shifts", "0", "--kinds", "sin"])
+    assert strip_timings(from_file) == strip_timings(from_flags)
+
+
+@pytest.mark.parametrize("raw", [{"max_n": True}, {"max_n": 3.9}, {"max_j": False}, {"shifts": [0, 1.5]},
+                                 {"shifts": 2}, {"kinds": ["tan"]}, {"fmt": 1}, ["pascal"]])
+def test_config_rejects_values_the_flags_cannot_give(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", "--suite", "pascal", "--config", str(cfg)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

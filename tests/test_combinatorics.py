@@ -8,9 +8,7 @@ from wronskit import (
     check_even_binomial_sum,
     check_odd_binomial_sum,
     falling_factorial,
-    stirling_first,
 )
-from oracles import stirling_row_by_expansion
 
 rationals = st.fractions(max_denominator=8).filter(lambda f: abs(f) <= 20)
 
@@ -55,25 +53,6 @@ def test_binomial_rejects_negative_k():
 @given(rationals, st.integers(1, 8))
 def test_binomial_pascal_rule(x, k):
     assert binomial(x, k) == binomial(x - 1, k - 1) + binomial(x - 1, k)
-
-
-def test_stirling_first_row_three():
-    assert [stirling_first(3, k) for k in range(4)] == [0, 2, -3, 1]
-
-
-def test_stirling_first_against_expansion():
-    for n in range(0, 13):
-        row = stirling_row_by_expansion(n)
-        for k in range(n + 2):
-            want = row[k] if k < len(row) else 0
-            assert stirling_first(n, k) == want
-
-
-def test_stirling_first_reconstructs_falling_factorial():
-    for n in range(0, 13):
-        for x in (Fraction(-7, 3), Fraction(1, 2), 2, 5):
-            total = sum(stirling_first(n, k) * Fraction(x) ** k for k in range(n + 1))
-            assert total == falling_factorial(x, n)
 
 
 def test_odd_binomial_sum_instances():

@@ -14,7 +14,6 @@ from wronskit import (
     coordinate_basis,
     coordinate_matrix,
     coordinates_in_basis,
-    derivative_chain,
     differentiate,
     harmonic_step,
     is_constant,
@@ -45,14 +44,15 @@ def test_chain_spec_validation():
 
 
 def test_derivative_chain_example():
-    chain = derivative_chain(ChainSpec(n=1, shift=0, kind=Trig.SIN, count=4))
+    # the first row of the Wronskian matrix is the derivative chain itself
+    chain = list(wronskian_hankel(ChainSpec(n=1, shift=0, kind=Trig.SIN, count=4)).row(0))
     f = basis_element(1, Trig.SIN)
     xc = basis_element(1, Trig.COS)
     assert chain == [f, S + xc, 2 * C - f, -3 * S - xc]
 
 
 def test_chain_shift_offsets_orders():
-    shifted = derivative_chain(ChainSpec(n=2, shift=3, kind=Trig.COS, count=2))
+    shifted = wronskian_hankel(ChainSpec(n=2, shift=3, kind=Trig.COS, count=2)).row(0)
     assert shifted[0] == monomial_derivative(2, Trig.COS, 3)
     assert shifted[1] == monomial_derivative(2, Trig.COS, 4)
 

@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wronskit import (
-    OperatorBase,
-    OperatorPower,
     Trig,
     TrigPoly,
-    apply_operator,
     basis_element,
     differentiate,
     eval_at_zero,
@@ -77,21 +74,6 @@ def test_harmonic_step_examples():
     assert harmonic_step(basis_element(1, Trig.SIN)) == 2 * C
     g = basis_element(2, Trig.SIN)
     assert harmonic_step(harmonic_step(g)) == -8 * S
-
-
-def test_apply_operator():
-    f = basis_element(1, Trig.SIN)
-    d = OperatorPower(OperatorBase.DERIVATIVE, 4)
-    assert apply_operator(d, f) == monomial_derivative(1, Trig.SIN, 4)
-    h = OperatorPower(OperatorBase.HARMONIC, 2)
-    assert apply_operator(h, basis_element(2, Trig.SIN)) == -8 * S
-    ident = OperatorPower(OperatorBase.HARMONIC, 0)
-    assert apply_operator(ident, f) == f
-
-
-def test_operator_power_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        OperatorPower(OperatorBase.DERIVATIVE, -1)
 
 
 def test_annihilation_and_nonvanishing():
