@@ -33,7 +33,6 @@ from .structured import (
     MatrixKind,
     MatrixSpec,
     build,
-    det_closed_form,
     det_identity,
     verify_even_from_odd,
     verify_pascal_product,
@@ -47,10 +46,8 @@ SUITES = ("identities", "determinants", "pascal", "wronskian", "coords", "open-i
 # print them.  The symbolic determinants behind the wronskian-suite sweeps cost
 # about 9x more per step of n.
 LIMITS = {
-    "wronskian": 3,      # wronskian-factorization, even-hankel-transform, wronskian-transform
-    "dependence": 2,     # wronskian-dependence
-    "affine": 7,         # binom-affine determinants
-    "basis_columns": 3,  # coordinate-columns
+    "wronskian": 3,   # wronskian-factorization, even-hankel-transform, wronskian-transform
+    "dependence": 2,  # wronskian-dependence
 }
 
 # fixed affine-progression grid swept by the determinants suite
@@ -167,7 +164,7 @@ def plan_checks(config: SuiteConfig) -> list[Check]:
                      ("determinants", verify_triangularization, (n,)),
                      ("determinants", verify_even_from_odd, (n,))]
         plan += [("determinants", det_identity, (MatrixSpec(MatrixKind.BINOM_AFFINE, n=n, a=a, b=b),))
-                 for n in _upto(max_n, "affine") for a in AFFINE_SLOPES for b in AFFINE_OFFSETS]
+                 for n in ns for a in AFFINE_SLOPES for b in AFFINE_OFFSETS]
         plan += [("determinants", det_identity, (MatrixSpec(MatrixKind.BINOM_NODES, nodes=nodes),))
                  for nodes in NODE_TUPLES]
     if "pascal" in config.suites:
@@ -184,7 +181,7 @@ def plan_checks(config: SuiteConfig) -> list[Check]:
                  for n in _upto(max_n, "wronskian") for kind in kinds]
     if "coords" in config.suites:
         plan += [("coords", verify_full_rank, (n,)) for n in ns]
-        plan += [("coords", verify_basis_columns, (n,)) for n in _upto(max_n, "basis_columns")]
+        plan += [("coords", verify_basis_columns, (n,)) for n in ns]
     return plan
 
 
@@ -360,12 +357,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    identity_report = None
     try:
-        det_closed_form(spec)
         identity_report = det_identity(spec)
-    except ValueError:
-        pass
+    except ValueError:  # the kind has no closed form
+        identity_report = None
     if args.json:
         doc = mat.to_json_dict()
         if identity_report is not None:

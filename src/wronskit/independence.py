@@ -17,7 +17,7 @@ from fractions import Fraction
 from .combinatorics import binomial, falling_factorial
 from .matrix import ExactMatrix, first_difference
 from .report import VerificationReport, finish_report
-from .structured import double_shift_matrix, row_shift_matrix
+from .structured import double_shift_matrix, pascal_product
 from .trigring import (
     Coeff,
     Trig,
@@ -118,9 +118,7 @@ def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Tr
     grid = ExactMatrix([
         [monomial_derivative(n, kind, shift + 2 * (i + j)) for j in range(size)]
         for i in range(size)])
-    stack = row_shift_matrix(size, 1)
-    for k in range(2, steps + 1):
-        stack = row_shift_matrix(size, k) @ stack
+    stack = pascal_product(size)
     conj = stack @ grid @ stack.transpose()
     ladder = [monomial_derivative(n, kind, shift)]
     for _ in range(2 * steps):

@@ -1,6 +1,8 @@
 """Dense immutable matrices over the exact rings used here (int, Fraction,
-TrigPoly): ring-generic division-free determinants, fraction-free rank, and
-the even/odd interleave split for checkerboard matrices."""
+TrigPoly): one fraction-free (Bareiss) elimination for the rank and the
+determinant of integer and rational matrices, a division-free determinant
+memoized over column subsets for TrigPoly entries, and the even/odd
+interleave split for checkerboard matrices."""
 
 from __future__ import annotations
 
@@ -84,15 +86,62 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix([[self[i, j] for i in range(self._rows)] for j in range(self._cols)])
 
-    def determinant(self) -> Entry:
-        """Division-free determinant, valid over any commutative ring.
+    def _is_rational(self) -> bool:
+        return all(isinstance(v, (int, Fraction)) for v in self._e)
 
-        Expansion along the last row of each leading-rows submatrix, memoized
-        over column subsets: O(2^n) ring operations instead of n! and no
-        divisions, so TrigPoly entries work as well as numbers.
+    def _bareiss(self) -> tuple[int, Entry]:
+        """Fraction-free (Bareiss) elimination with exact division over the
+        rationals: (rank, determinant).  The determinant is 0 unless the
+        matrix is square and every column has a pivot.
+
+        Pivot choice: first nonzero entry in row order; each row swap flips
+        the determinant's sign.  On a nonsingular integer matrix every
+        division is exact, so its determinant comes out as an int.
+        """
+        m = [list(self.row(i)) for i in range(self._rows)]
+        prev: Entry = 1
+        sign = 1
+        r = 0
+        for col in range(self._cols):
+            piv = next((i for i in range(r, self._rows) if m[i][col]), None)
+            if piv is None:
+                continue
+            if piv != r:
+                m[r], m[piv] = m[piv], m[r]
+                sign = -sign
+            top = m[r]
+            pivot = top[col]
+            for i in range(r + 1, self._rows):
+                row = m[i]
+                lead = row[col]
+                for j in range(col + 1, self._cols):
+                    num = pivot * row[j] - lead * top[j]
+                    if isinstance(num, int) and isinstance(prev, int):
+                        quot, rem = divmod(num, prev)
+                        row[j] = quot if not rem else Fraction(num, prev)
+                    else:
+                        row[j] = num / prev
+                row[col] = 0
+            prev = pivot
+            r += 1
+            if r == self._rows:
+                break
+        return r, sign * prev if r == self._rows == self._cols else 0
+
+    def determinant(self) -> Entry:
+        """Exact determinant of a square matrix.
+
+        Integer and rational matrices go through the Bareiss elimination that
+        ``rank`` uses: O(n^3) exact operations, an int for an int matrix.  Any
+        other entry (TrigPoly) takes the division-free expansion along the
+        last row of each leading-rows submatrix, memoized over column subsets:
+        O(n 2^n) ring operations instead of n! and no divisions, so it is
+        valid over any commutative ring.
         """
         if self._rows != self._cols:
             raise ValueError("determinant needs a square matrix")
+        if self._is_rational():
+            return self._bareiss()[1]
         n = self._rows
         flat = self._e
         memo: dict[int, Entry] = {}
@@ -120,37 +169,11 @@ class ExactMatrix:
         return minor((1 << n) - 1)
 
     def rank(self) -> int:
-        """Rank by fraction-free (Bareiss) elimination with exact division.
-
-        Pivot choice: first nonzero entry in row order.  Entries must embed in
-        the rationals; TrigPoly matrices have no rank here.
-        """
-        for v in self._e:
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError("rank needs integer or rational entries")
-        m = [list(self.row(i)) for i in range(self._rows)]
-        prev: Entry = 1
-        r = 0
-        for col in range(self._cols):
-            piv = next((i for i in range(r, self._rows) if m[i][col]), None)
-            if piv is None:
-                continue
-            if piv != r:
-                m[r], m[piv] = m[piv], m[r]
-            for i in range(r + 1, self._rows):
-                for j in range(col + 1, self._cols):
-                    num = m[r][col] * m[i][j] - m[i][col] * m[r][j]
-                    if isinstance(num, int) and isinstance(prev, int):
-                        quot, rem = divmod(num, prev)
-                        m[i][j] = quot if not rem else Fraction(num, prev)
-                    else:
-                        m[i][j] = num / prev
-                m[i][col] = 0
-            prev = m[r][col]
-            r += 1
-            if r == self._rows:
-                break
-        return r
+        """Rank by the Bareiss elimination.  Entries must embed in the
+        rationals; TrigPoly matrices have no rank here."""
+        if not self._is_rational():
+            raise TypeError("rank needs integer or rational entries")
+        return self._bareiss()[0]
 
     def interleave_split(self) -> tuple["ExactMatrix", "ExactMatrix"]:
         """Split a checkerboard matrix of even order 2m into its odd/odd and

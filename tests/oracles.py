@@ -61,6 +61,15 @@ def random_int_matrix(rng: Random, rows: int, cols: int, bound: int = 5) -> Exac
     return ExactMatrix([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
 
 
+def random_rational_matrix(rng: Random, order: int, mixed: bool = False, bound: int = 5) -> ExactMatrix:
+    """Square matrix of Fractions; with ``mixed`` about half the entries are ints."""
+    def entry():
+        if mixed and rng.random() < 0.5:
+            return rng.randint(-bound, bound)
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+    return ExactMatrix([[entry() for _ in range(order)] for _ in range(order)])
+
+
 def random_checkerboard(rng: Random, order: int, bound: int = 5) -> ExactMatrix:
     """Even-order matrix, nonzero only where row and column parity agree."""
     return ExactMatrix([

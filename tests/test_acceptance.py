@@ -97,7 +97,7 @@ def test_binomial_determinants_closed_form():
 
 def test_scaled_matrix_determinant_factorizes():
     with criterion("scaled-determinant-split", 5.0):
-        for n in range(1, 5):
+        for n in range(1, 13):
             scaled = scaled_coordinate_matrix(coordinate_matrix(n), n)
             odd, even = scaled.interleave_split()
             det = scaled.determinant()
@@ -142,6 +142,12 @@ def test_node_determinants():
             assert rep.passed, rep.line()
         repeated = det_identity(MatrixSpec(MatrixKind.BINOM_NODES, nodes=(2, 2, 6)))
         assert repeated.passed and repeated.expected == "0"
+        # 18 dense non-integer nodes: a rational determinant the column-subset
+        # expansion needs 2^18 minors for
+        dense = tuple(Fraction(k, 2) for k in range(1, 20, 2)) + tuple(
+            Fraction(k, 3) for k in (1, 2, 4, 5, 7, 8, 10, 11))
+        rep = det_identity(MatrixSpec(MatrixKind.BINOM_NODES, nodes=dense))
+        assert len(dense) == 18 and rep.passed, rep.line()
 
 
 def test_affine_determinants():

@@ -69,7 +69,12 @@ def test_report_prints_the_limits(tmp_path, capsys):
     assert max(r["params"]["n"] for r in factorization) == 3
     assert main(["verify", "--suite", "pascal", "--max-n", "2", "--format", "markdown"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2] == "limits (largest n): wronskian 3, dependence 2, affine 7, basis_columns 3"
+    assert lines[2] == "limits (largest n): wronskian 3, dependence 2"
+    # the rational sweeps have no limit: they run up to --max-n
+    _, doc = run_to_json(tmp_path, "uncapped.json", ["verify", "--suite", "determinants,coords", "--max-n", "9"])
+    affine = [r["params"]["n"] for r in doc["records"] if r["params"].get("kind") == "binom-affine"]
+    columns = [r["params"]["n"] for r in doc["records"] if r["check"] == "coordinate-columns"]
+    assert max(affine) == max(columns) == 9
 
 
 def test_repeated_shifts_and_kinds_run_once(tmp_path):

@@ -9,6 +9,7 @@ from oracles import (
     determinant_by_permutations,
     random_checkerboard,
     random_int_matrix,
+    random_rational_matrix,
     random_unit_triangular,
 )
 
@@ -82,12 +83,36 @@ def test_determinant_rejects_non_square():
         ExactMatrix([[1, 2, 3], [4, 5, 6]]).determinant()
 
 
+def _elimination_variants(m: ExactMatrix) -> list[ExactMatrix]:
+    """m, m with a zero leading entry (forces a row swap), m with its rows
+    reversed, and a singular m whose last row is the sum of the first and
+    the second-to-last."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    zero_lead = [[0] + rows[0][1:]] + rows[1:]
+    singular = rows[:-1] + [[a + b for a, b in zip(rows[0], rows[-2])]] if m.rows > 1 else [[0]]
+    return [m, ExactMatrix(zero_lead), ExactMatrix(rows[::-1]), ExactMatrix(singular)]
+
+
 def test_determinant_matches_permutation_oracle():
     rng = Random(7)
     for order in (2, 3, 4, 5):
         for _ in range(5):
             m = random_int_matrix(rng, order, order)
             assert m.determinant() == determinant_by_permutations(m)
+    # int, Fraction and mixed entries all go through the Bareiss elimination
+    singular = 0
+    for order in range(1, 7):
+        for _ in range(3):
+            for m in (random_int_matrix(rng, order, order),
+                      random_rational_matrix(rng, order),
+                      random_rational_matrix(rng, order, mixed=True)):
+                integer = all(isinstance(v, int) for i in range(order) for v in m.row(i))
+                for case in _elimination_variants(m):
+                    det = case.determinant()
+                    assert det == determinant_by_permutations(case), case.pretty()
+                    assert not integer or type(det) is int
+                    singular += det == 0
+    assert singular >= 3 * 18
 
 
 def test_determinant_over_trig_ring():
