@@ -14,6 +14,7 @@ from .combinatorics import (
 from .independence import (
     ChainSpec,
     binomial_pattern_matrix,
+    conjugated_wronskian,
     coordinate_basis,
     coordinate_matrix,
     coordinates_in_basis,
@@ -68,6 +69,7 @@ __all__ = [
     "build",
     "check_even_binomial_sum",
     "check_odd_binomial_sum",
+    "conjugated_wronskian",
     "coordinate_basis",
     "coordinate_matrix",
     "coordinates_in_basis",

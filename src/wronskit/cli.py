@@ -20,6 +20,7 @@ from typing import Callable
 from .combinatorics import check_even_binomial_sum, check_odd_binomial_sum
 from .independence import (
     ChainSpec,
+    conjugated_wronskian,
     verify_basis_columns,
     verify_dependence,
     verify_even_hankel_transform,
@@ -38,17 +39,9 @@ from .structured import (
     verify_pascal_product,
     verify_triangularization,
 )
-from .trigring import Trig, is_constant
+from .trigring import Trig
 
 SUITES = ("identities", "determinants", "pascal", "wronskian", "coords", "open-identity")
-
-# Largest n that each capped sweep runs, whatever --max-n asks; the reports
-# print them.  The symbolic determinants behind the wronskian-suite sweeps cost
-# about 9x more per step of n.
-LIMITS = {
-    "wronskian": 3,   # wronskian-factorization, even-hankel-transform, wronskian-transform
-    "dependence": 2,  # wronskian-dependence
-}
 
 # fixed affine-progression grid swept by the determinants suite
 AFFINE_SLOPES = (-2, -1, 1, 2, 3, Fraction(1, 2))
@@ -143,10 +136,6 @@ class SuiteConfig:
 Check = tuple[str, Callable[..., VerificationReport], tuple]
 
 
-def _upto(max_n: int, limit: str, start: int = 1) -> range:
-    return range(start, min(max_n, LIMITS[limit]) + 1)
-
-
 def plan_checks(config: SuiteConfig) -> list[Check]:
     """Expand the configured suites into independent checks."""
     max_n, shifts, kinds = config.max_n, config.shifts, config.kinds
@@ -171,14 +160,11 @@ def plan_checks(config: SuiteConfig) -> list[Check]:
         plan += [("pascal", verify_pascal_product, (n,)) for n in range(2, max_n + 1)]
     if "wronskian" in config.suites:
         plan += [("wronskian", verify_wronskian_factorization, (n, shift, kind))
-                 for n in _upto(max_n, "wronskian", 0) for shift in shifts for kind in kinds]
-        plan += [("wronskian", verify_dependence, (n, kind))
-                 for n in _upto(max_n, "dependence", 0) for kind in kinds]
+                 for n in range(max_n + 1) for shift in shifts for kind in kinds]
+        plan += [("wronskian", verify_dependence, (n, kind)) for n in range(max_n + 1) for kind in kinds]
         plan += [("wronskian", verify_even_hankel_transform, (steps, shift, n, kind))
-                 for steps in (1, 2, 3) for shift in shifts
-                 for n in _upto(max_n, "wronskian") for kind in kinds]
-        plan += [("wronskian", verify_wronskian_transform, (n, kind))
-                 for n in _upto(max_n, "wronskian") for kind in kinds]
+                 for steps in (1, 2, 3) for shift in shifts for n in ns for kind in kinds]
+        plan += [("wronskian", verify_wronskian_transform, (n, kind)) for n in ns for kind in kinds]
     if "coords" in config.suites:
         plan += [("coords", verify_full_rank, (n,)) for n in ns]
         plan += [("coords", verify_basis_columns, (n,)) for n in ns]
@@ -212,7 +198,6 @@ def render_json(reports: list[tuple[str, VerificationReport]], duration: float) 
     records = [to_record(s, r) for s, r in reports]
     passed = sum(1 for r in records if r["pass"])
     doc = {
-        "limits": LIMITS,
         "records": records,
         "aggregate": {
             "total": len(records),
@@ -225,8 +210,7 @@ def render_json(reports: list[tuple[str, VerificationReport]], duration: float) 
 
 
 def render_markdown(reports: list[tuple[str, VerificationReport]], duration: float) -> str:
-    limits = ", ".join(f"{name} {n}" for name, n in LIMITS.items())
-    lines = ["# verification report", "", f"limits (largest n): {limits}"]
+    lines = ["# verification report"]
     current = None
     for suite, rep in reports:
         if suite != current:
@@ -384,14 +368,10 @@ def _cmd_wronskian(args: argparse.Namespace) -> int:
         print("configuration error: count must be >= 1", file=sys.stderr)
         return 2
     spec = ChainSpec(n=args.n, shift=args.shift, kind=Trig(args.kind), count=count)
-    hankel = wronskian_hankel(spec)
     if args.print_matrix:
-        print(hankel.pretty())
-    det = hankel.determinant()
-    constant = is_constant(det) if not isinstance(det, int) else det
-    value = constant if constant is not None else det
+        print(wronskian_hankel(spec).pretty())
     print(f"Wronskian of D^{spec.shift} f .. D^{spec.shift + count - 1} f, "
-          f"f = x^{spec.n} {spec.kind.value}(x): {value}")
+          f"f = x^{spec.n} {spec.kind.value}(x): {conjugated_wronskian(spec).determinant()}")
     return 0
 
 

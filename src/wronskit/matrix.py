@@ -221,6 +221,8 @@ def first_difference(got: ExactMatrix, want: ExactMatrix) -> str:
     """Human-readable location of the first disagreement, 'ok' if none."""
     if (got.rows, got.cols) != (want.rows, want.cols):
         return f"shape {got.rows}x{got.cols} != {want.rows}x{want.cols}"
+    if got == want:
+        return "ok"
     for i in range(got.rows):
         for j in range(got.cols):
             if got[i, j] != want[i, j]:

@@ -22,11 +22,13 @@ from wronskit import (
     basis_element,
     check_even_binomial_sum,
     check_odd_binomial_sum,
+    conjugated_wronskian,
     coordinate_matrix,
     det_identity,
     differentiate,
     eval_at_zero,
     harmonic_step,
+    is_constant,
     monomial_derivative,
     scaled_coordinate_matrix,
     verify_dependence,
@@ -161,7 +163,7 @@ def test_affine_determinants():
 
 def test_wronskian_factorization():
     with criterion("wronskian-factorization", 60.0):
-        for n in range(0, 4):
+        for n in range(0, 9):
             for shift in (0, 1, 2):
                 for kind in (Trig.SIN, Trig.COS):
                     rep = verify_wronskian_factorization(n, shift, kind)
@@ -171,11 +173,24 @@ def test_wronskian_factorization():
         assert w0.determinant() == determinant_by_permutations(w0) == -1
         w1 = wronskian_hankel(ChainSpec(1, 0, Trig.SIN, 4))
         assert w1.determinant() == determinant_by_permutations(w1) == 16
+        # the conjugation keeps the determinant of the plain Hankel grid, at the
+        # threshold 2n+2, one past it, and below it where the value is not constant
+        specs = [ChainSpec(n, shift, kind, 2 * n + 2)
+                 for n in range(4) for shift in (0, 1, 2) for kind in (Trig.SIN, Trig.COS)]
+        specs += [ChainSpec(n, 0, Trig.SIN, 2 * n + 3) for n in range(3)]
+        specs += [ChainSpec(2, 1, Trig.SIN, 3), ChainSpec(3, 0, Trig.COS, 5)]
+        for spec in specs:
+            want = wronskian_hankel(spec).determinant()
+            conj = conjugated_wronskian(spec)
+            assert conj.determinant() == want, spec
+            if spec.count <= 6:
+                assert determinant_by_permutations(conj) == want, spec
+        assert all(is_constant(conjugated_wronskian(spec).determinant()) is None for spec in specs[-2:])
 
 
 def test_wronskian_dependence():
     with criterion("wronskian-dependence", 60.0):
-        for n in range(0, 3):
+        for n in range(0, 9):
             for kind in (Trig.SIN, Trig.COS):
                 rep = verify_dependence(n, kind)
                 assert rep.passed, rep.line()

@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from wronskit import cli
-from wronskit.cli import LIMITS, SUITES, main
+from wronskit.cli import SUITES, main
 from wronskit.report import VerificationReport
 
 
@@ -61,17 +62,20 @@ def test_plan_order_does_not_change_the_report(tmp_path, monkeypatch):
     assert strip_timings(forward) == strip_timings(backward)
 
 
-def test_report_prints_the_limits(tmp_path, capsys):
-    code, doc = run_to_json(tmp_path, "limits.json", ["verify", "--suite", "wronskian", "--max-n", "9"])
-    assert code == 0
-    assert doc["limits"] == LIMITS and doc["limits"]["wronskian"] == 3
-    factorization = [r for r in doc["records"] if r["check"] == "wronskian-factorization"]
-    assert max(r["params"]["n"] for r in factorization) == 3
+def test_wronskian_suite_runs_to_max_n(tmp_path, capsys):
+    code, doc = run_to_json(tmp_path, "wronskian.json", ["verify", "--suite", "wronskian", "--max-n", "5"])
+    assert code == 0 and "limits" not in doc
+    largest = {}
+    for r in doc["records"]:
+        largest[r["check"]] = max(largest.get(r["check"], 0), r["params"]["n"])
+    assert largest == {"wronskian-factorization": 5, "wronskian-dependence": 5,
+                       "even-hankel-transform": 5, "wronskian-transform": 5}
     assert main(["verify", "--suite", "pascal", "--max-n", "2", "--format", "markdown"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2] == "limits (largest n): wronskian 3, dependence 2"
-    # the rational sweeps have no limit: they run up to --max-n
-    _, doc = run_to_json(tmp_path, "uncapped.json", ["verify", "--suite", "determinants,coords", "--max-n", "9"])
+    assert lines[:3] == ["# verification report", "", "## pascal"]
+    assert not any(line.startswith("limits") for line in lines)
+    # the rational sweeps run up to --max-n as well
+    _, doc = run_to_json(tmp_path, "rational.json", ["verify", "--suite", "determinants,coords", "--max-n", "9"])
     affine = [r["params"]["n"] for r in doc["records"] if r["params"].get("kind") == "binom-affine"]
     columns = [r["params"]["n"] for r in doc["records"] if r["check"] == "coordinate-columns"]
     assert max(affine) == max(columns) == 9
@@ -213,6 +217,8 @@ def test_matrix_without_closed_form_prints_only_entries(capsys):
 def test_matrix_kind_parameter_errors(capsys):
     assert main(["matrix", "--kind", "row-shift", "--n", "3"]) == 2
     assert "configuration error" in capsys.readouterr().err  # k is required
+    assert main(["matrix", "--kind", "double-shift", "--n", "2", "--k", "1"]) == 2
+    assert "configuration error: double shift needs n >= 3, got n=2" in capsys.readouterr().err
 
 
 def test_matrix_nodes_argument(capsys):
@@ -229,6 +235,14 @@ def test_wronskian_command(capsys):
     assert code == 0
     assert "f = x^1 sin(x)" in out
     assert out.strip().endswith("16")
+    n = 9
+    assert main(["wronskian", "--n", str(n)]) == 0
+    closed = (-1) ** (n + 1) * (2 ** n * math.factorial(n)) ** (2 * n + 2)
+    assert capsys.readouterr().out.strip().endswith(f": {closed}")
+    # below the threshold the Wronskian is not constant
+    assert main(["wronskian", "--n", "2", "--shift", "1", "--count", "3"]) == 0
+    assert capsys.readouterr().out.strip().endswith(
+        ": 16*x^3*s - 40*x*s - 8*x^4*c - 76*x^2*c - 8*c^3 - 208*c")
 
 
 def test_wronskian_print_matrix(capsys):

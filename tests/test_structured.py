@@ -65,7 +65,7 @@ def test_double_shift_entries_and_domain():
     assert u2[4, 2] == 1 and u2[5, 3] == 1 and u2[2, 0] == 0
     with pytest.raises(ValueError):
         double_shift_matrix(4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs n >= 3"):
         double_shift_matrix(2, 1)
 
 
