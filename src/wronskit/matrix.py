@@ -1,8 +1,10 @@
-"""Dense immutable matrices over the exact rings used here (int, Fraction,
-TrigPoly): one fraction-free (Bareiss) elimination for the rank and the
-determinant of integer and rational matrices, a division-free determinant
-memoized over column subsets for TrigPoly entries, and the even/odd
-interleave split for checkerboard matrices."""
+"""Immutable matrices over the exact rings used here (int, Fraction,
+TrigPoly), stored densely: a product that multiplies only nonzero pairs, so
+it costs those pairs rather than rows x cols x inner, one fraction-free
+(Bareiss) elimination for the rank and the determinant of integer and
+rational matrices, a division-free determinant memoized over column subsets
+for TrigPoly entries, and the even/odd interleave split for checkerboard
+matrices."""
 
 from __future__ import annotations
 
@@ -64,27 +66,30 @@ class ExactMatrix:
         return hash((self._rows, self._cols, self._e))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Exact product, row by row (Gustavson): each nonzero entry e at
+        (i, k) of the left factor meets the nonzero entries v at (k, j) of the
+        right one and adds e*v into entry (i, j).  The cost is the number of
+        such nonzero pairs, not rows x cols x inner; an entry that gets no
+        term is the int 0."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self._cols != other._rows:
             raise ValueError(
                 f"dimension mismatch: {self._rows}x{self._cols} @ {other._rows}x{other._cols}")
+        right = [[(j, v) for j, v in enumerate(other.row(k)) if v] for k in range(other._rows)]
         out = []
         for i in range(self._rows):
-            left = self.row(i)
-            row = []
-            for j in range(other._cols):
-                acc = left[0] * other[0, j]
-                for k in range(1, self._cols):
-                    e = left[k]
-                    if e:
-                        acc = acc + e * other[k, j]
-                row.append(acc)
-            out.append(row)
+            acc: list[Entry] = [None] * other._cols
+            for e, terms in zip(self.row(i), right):
+                if e:
+                    for j, v in terms:
+                        got = acc[j]
+                        acc[j] = e * v if got is None else got + e * v
+            out.append([0 if v is None else v for v in acc])
         return ExactMatrix(out)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self[i, j] for i in range(self._rows)] for j in range(self._cols)])
+        return ExactMatrix(zip(*(self.row(i) for i in range(self._rows))))
 
     def _is_rational(self) -> bool:
         return all(isinstance(v, (int, Fraction)) for v in self._e)

@@ -123,7 +123,11 @@ class TrigPoly:
         return self._p == o._p and self._q == o._q
 
     def __hash__(self) -> int:
-        # well defined because the canonical form is unique
+        # well defined because the canonical form is unique; a constant equals
+        # its int or Fraction value, so it must hash as that value too
+        value = is_constant(self)
+        if value is not None:
+            return hash(value)
         return hash((frozenset(self._p.items()), frozenset(self._q.items())))
 
     def __add__(self, other):

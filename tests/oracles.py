@@ -1,9 +1,9 @@
 """Independent oracles the tests check library results against.
 
 Everything here deliberately avoids the library's own algorithms: the
-determinant is a plain permutation sum, derivatives are cross-checked by
-floating central differences, Stirling numbers come from expanding the
-falling-factorial polynomial term by term.
+determinant is a plain permutation sum, the matrix product a plain triple
+sum over every entry, zero or not, and derivatives are cross-checked by
+floating central differences.
 """
 
 from __future__ import annotations
@@ -32,6 +32,14 @@ def determinant_by_permutations(m: ExactMatrix):
             prod = prod * m[i, perm[i]]
         total = total + (prod if sign > 0 else -prod)
     return total
+
+
+def product_by_definition(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Entry (i, j) is the sum over k of a[i, k] * b[k, j], zeros included."""
+    assert a.cols == b.rows
+    return ExactMatrix([
+        [sum((a[i, k] * b[k, j] for k in range(a.cols)), 0) for j in range(b.cols)]
+        for i in range(a.rows)])
 
 
 def eval_float(u: TrigPoly, x: float) -> float:

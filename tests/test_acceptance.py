@@ -168,6 +168,11 @@ def test_wronskian_factorization():
                 for kind in (Trig.SIN, Trig.COS):
                     rep = verify_wronskian_factorization(n, shift, kind)
                     assert rep.passed, rep.line()
+        # the north-star sizes: orders 42 and 62
+        for n in (20, 30):
+            for shift, kind in ((0, Trig.SIN), (2, Trig.COS)):
+                rep = verify_wronskian_factorization(n, shift, kind)
+                assert rep.passed, rep.line()
         # spot values against a brute-force expansion of the same matrices
         w0 = wronskian_hankel(ChainSpec(0, 0, Trig.SIN, 2))
         assert w0.determinant() == determinant_by_permutations(w0) == -1
@@ -190,7 +195,7 @@ def test_wronskian_factorization():
 
 def test_wronskian_dependence():
     with criterion("wronskian-dependence", 60.0):
-        for n in range(0, 9):
+        for n in (*range(0, 9), 20, 30):
             for kind in (Trig.SIN, Trig.COS):
                 rep = verify_dependence(n, kind)
                 assert rep.passed, rep.line()

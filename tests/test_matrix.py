@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from wronskit import ExactMatrix, Trig, basis_element, first_difference
 from oracles import (
     determinant_by_permutations,
+    product_by_definition,
     random_checkerboard,
     random_int_matrix,
     random_rational_matrix,
+    random_trigpoly,
     random_unit_triangular,
 )
 
@@ -70,6 +72,45 @@ def test_matmul_identity_and_transpose():
     a = random_int_matrix(rng, 3, 4)
     b = random_int_matrix(rng, 4, 2)
     assert (a @ b).transpose() == b.transpose() @ a.transpose()
+
+
+ENTRIES = {
+    "int": lambda rng: rng.randint(-5, 5),
+    "fraction": lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    "mixed": lambda rng: rng.randint(-5, 5) if rng.random() < 0.5 else Fraction(rng.randint(-5, 5), 3),
+    "trigpoly": lambda rng: random_trigpoly(rng, terms=3, bound=3),
+}
+
+
+def _sparse(rng, rows, cols, density, kind):
+    """Entries of the given kind at about ``density`` of the positions, else
+    the int 0.  Below density 1, row 0 and the last column stay all zero."""
+    entry = ENTRIES[kind]
+    blank = density < 1
+    return ExactMatrix([
+        [0 if blank and (i == 0 or j == cols - 1) or rng.random() >= density else entry(rng)
+         for j in range(cols)]
+        for i in range(rows)])
+
+
+@pytest.mark.parametrize("left, right", [
+    ("int", "int"), ("fraction", "fraction"), ("mixed", "mixed"), ("mixed", "int"),
+    ("trigpoly", "int"), ("int", "trigpoly")])
+def test_matmul_matches_product_by_definition(left, right):
+    rng = Random(f"{left}@{right}")
+    for density in (0.2, 0.4, 0.6, 0.8, 1.0):
+        for rows, inner, cols in ((1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 3), (3, 6, 2)):
+            a = _sparse(rng, rows, inner, density, left)
+            b = _sparse(rng, inner, cols, density, right)
+            got, want = a @ b, product_by_definition(a, b)
+            assert (got.rows, got.cols) == (rows, cols)
+            for i in range(rows):
+                for j in range(cols):
+                    assert got[i, j] == want[i, j], (i, j)
+                    assert str(got[i, j]) == str(want[i, j]), (i, j)
+            if density < 1:  # entries that get no term are the int 0
+                blank = got.row(0) + tuple(got[i, cols - 1] for i in range(rows))
+                assert all(v == 0 and type(v) is int for v in blank)
 
 
 def test_determinant_small_cases():

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wronskit import (
+    ChainSpec,
+    ExactMatrix,
     Trig,
     TrigPoly,
     basis_element,
+    conjugated_wronskian,
     differentiate,
     eval_at_zero,
     harmonic_step,
@@ -53,6 +56,20 @@ def test_equality_against_scalars():
     assert TrigPoly.constant(Fraction(1, 2)) == Fraction(1, 2)
     assert TrigPoly.zero() == 0
     assert not (S == 0)
+
+
+def test_constants_hash_as_their_value():
+    for v in (0, 3, -1, Fraction(1, 2)):
+        c = TrigPoly.constant(v)
+        assert c == v and hash(c) == hash(v)
+        assert len({c, v}) == 1
+    assert len({TrigPoly.zero(), 0, Fraction(0)}) == 1
+    assert hash(S * S + C * C) == hash(1)
+    # a product leaves the int 0 where no term lands; equal matrices hash alike
+    conj = conjugated_wronskian(ChainSpec(0, 0, Trig.SIN, 3))
+    assert conj.row(2) == (0, 0, 0) and {type(v) for v in conj.row(2)} == {int}
+    rebuilt = ExactMatrix([[TrigPoly.zero() + v for v in conj.row(i)] for i in range(conj.rows)])
+    assert conj == rebuilt and hash(conj) == hash(rebuilt)
 
 
 def test_derivative_chain_of_x_sin_x():
