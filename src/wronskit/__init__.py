@@ -18,6 +18,7 @@ from .independence import (
     coordinate_basis,
     coordinate_matrix,
     coordinates_in_basis,
+    ladder_wronskian,
     scaled_coordinate_matrix,
     two_by_two,
     verify_basis_columns,
@@ -82,6 +83,7 @@ __all__ = [
     "first_difference",
     "harmonic_step",
     "is_constant",
+    "ladder_wronskian",
     "monomial_derivative",
     "pascal_product",
     "row_shift_matrix",

@@ -20,7 +20,7 @@ from typing import Callable
 from .combinatorics import check_even_binomial_sum, check_odd_binomial_sum
 from .independence import (
     ChainSpec,
-    conjugated_wronskian,
+    ladder_wronskian,
     verify_basis_columns,
     verify_dependence,
     verify_even_hankel_transform,
@@ -370,8 +370,15 @@ def _cmd_wronskian(args: argparse.Namespace) -> int:
     spec = ChainSpec(n=args.n, shift=args.shift, kind=Trig(args.kind), count=count)
     if args.print_matrix:
         print(wronskian_hankel(spec).pretty())
+    det = ladder_wronskian(spec).determinant()
+    try:
+        value = str(det)
+    except ValueError:  # an int past CPython's limit on rendered digits
+        print(f"cannot render the Wronskian: it has more digits than "
+              f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}", file=sys.stderr)
+        return 2
     print(f"Wronskian of D^{spec.shift} f .. D^{spec.shift + count - 1} f, "
-          f"f = x^{spec.n} {spec.kind.value}(x): {conjugated_wronskian(spec).determinant()}")
+          f"f = x^{spec.n} {spec.kind.value}(x): {value}")
     return 0
 
 

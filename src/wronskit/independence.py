@@ -1,13 +1,13 @@
 """Verifiers for the (in)dependence theory of the derivative families of
 x^n sin x and x^n cos x.
 
-The symbolic route builds Hankel-structured Wronskian matrices over the trig
-quotient ring and evaluates their determinants exactly, after the paper's
-transformation: conjugation by the stacked double-shift product keeps the
-determinant and sorts the entries onto the (D^2+1)-ladder, whose rungs from
-(D^2+1)^(n+1) f on vanish.  The coordinate route expresses the derivatives in
-an integer basis and settles independence by exact rank.  Both routes are
-kept separate on purpose so each can confirm the other.
+The symbolic route takes Wronskian determinants exactly over the trig quotient
+ring after the paper's transformation: conjugation by the stacked double-shift
+product S keeps the determinant and sorts the entries onto the (D^2+1)-ladder,
+whose rungs from (D^2+1)^(n+1) f on vanish; the ladder is built from one chain
+and the ring product S W S^T is its reference.  The coordinate route expresses
+the derivatives in an integer basis and settles independence by exact rank.
+Both routes are kept separate on purpose so each can confirm the other.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import binomial, falling_factorial
-from .matrix import ExactMatrix, first_difference
+from .matrix import Entry, ExactMatrix, first_difference
 from .report import VerificationReport, finish_report
 from .structured import double_shift_matrix, pascal_product
 from .trigring import (
     Coeff,
     Trig,
     TrigPoly,
-    basis_element,
     differentiate,
     harmonic_step,
     is_constant,
@@ -59,38 +59,59 @@ def wronskian_hankel(spec: ChainSpec) -> ExactMatrix:
         for i in range(spec.count)])
 
 
-def conjugated_wronskian(spec: ChainSpec) -> ExactMatrix:
-    """S W S^T for the Wronskian matrix W of the chain and the stacked
-    double-shift product S (cutoffs 1 .. (count+1)//2 - 1, the last leftmost).
-
-    S is unit lower triangular, so the determinant is W's.  The entries sit on
-    the (D^2+1)-ladder (verify_wronskian_transform), and the zero rungs from
-    (D^2+1)^(n+1) f on are what the determinant expansion skips.
-    """
-    size = spec.count
+@lru_cache(maxsize=None)
+def _double_shift_stack(size: int) -> tuple[ExactMatrix, str]:
+    """The stacked double-shift product S (cutoffs 1 .. (size+1)//2 - 1, the last
+    leftmost) and its first difference from C(i//2, j//2) where i = j mod 2,
+    0-indexed: 'ok' iff row i of S holds the coefficients of D^(i mod 2) (D^2+1)^(i//2)."""
     stack = ExactMatrix.identity(size)
     for k in range(1, (size + 1) // 2):
         stack = double_shift_matrix(size, k) @ stack
+    rungs = ExactMatrix.from_fn(
+        size, size, lambda i, j: binomial((i - 1) // 2, (j - 1) // 2) if (i - j) % 2 == 0 else 0)
+    return stack, first_difference(stack, rungs)
+
+
+def conjugated_wronskian(spec: ChainSpec) -> ExactMatrix:
+    """S W S^T multiplied out over the ring for the Wronskian matrix W of the chain:
+    the reference for ladder_wronskian.  S is unit lower triangular, so the
+    determinant is W's."""
+    stack = _double_shift_stack(spec.count)[0]
     return stack @ wronskian_hankel(spec) @ stack.transpose()
 
 
-def _harmonic_power(u: TrigPoly, k: int) -> TrigPoly:
-    for _ in range(k):
-        u = harmonic_step(u)
-    return u
+def ladder_wronskian(spec: ChainSpec) -> ExactMatrix:
+    """S W S^T from the (D^2+1)-ladder of g = D^shift f: entry (i, j), 0-indexed,
+    is D^(i mod 2 + j mod 2) (D^2+1)^(i//2 + j//2) g, read off one harmonic_step
+    chain and its first two derivatives.  That is P_i(D) P_j(D) g for the row
+    polynomials P_i(D) = D^(i mod 2) (D^2+1)^(i//2) of S (_double_shift_stack)."""
+    chain = [monomial_derivative(spec.n, spec.kind, spec.shift)]
+    for _ in range(2 * ((spec.count - 1) // 2)):
+        chain.append(harmonic_step(chain[-1]))
+    first = [differentiate(u) for u in chain]
+    grades = (chain, first, [differentiate(u) for u in first])
+    return ExactMatrix([[grades[i % 2 + j % 2][i // 2 + j // 2] for j in range(spec.count)]
+                        for i in range(spec.count)])
+
+
+def _ladder_determinant(spec: ChainSpec) -> Entry:
+    """det W from ladder_wronskian, or where S's rows miss the ladder (a failing value)."""
+    stack = _double_shift_stack(spec.count)[1]
+    if stack != "ok":
+        return f"double-shift stack off the ladder: {stack}"
+    return ladder_wronskian(spec).determinant()
 
 
 def two_by_two(n: int, shift: int = 0, kind: Trig = Trig.SIN) -> TrigPoly:
-    """y D^2 y - (D y)^2 for y = D^shift (D^2+1)^n (x^n trig).
+    """y D^2 y - (D y)^2 for y = D^shift (D^2+1)^n (x^n trig): the ladder's
+    minor in rows 1, 2 and columns 2n+1, 2n+2, counted from 1.
 
     Since (D^2+1)^(n+1) annihilates x^n trig, y is a plain sinusoid
     a sin x + b cos x and the expression collapses to the constant -(a^2+b^2).
     """
-    y = _harmonic_power(basis_element(n, kind), n)
-    for _ in range(shift):
-        y = differentiate(y)
-    dy = differentiate(y)
-    return y * differentiate(dy) - dy * dy
+    ladder = ladder_wronskian(ChainSpec(n, shift, kind, 2 * n + 2))
+    y, dy, ddy = ladder[0, 2 * n], ladder[0, 2 * n + 1], ladder[1, 2 * n + 1]
+    return y * ddy - dy * dy
 
 
 def verify_wronskian_factorization(n: int, shift: int = 0, kind: Trig = Trig.SIN) -> VerificationReport:
@@ -98,14 +119,13 @@ def verify_wronskian_factorization(n: int, shift: int = 0, kind: Trig = Trig.SIN
     (n+1)-th power of the two-by-two constant, itself nonzero; this settles
     independence of the chain."""
     started = time.perf_counter()
-    w = conjugated_wronskian(ChainSpec(n, shift, kind, 2 * n + 2)).determinant()
     base = is_constant(two_by_two(n, shift, kind))
     params = {"n": n, "shift": shift, "kind": kind.value}
     if base is None or base == 0:
         return finish_report("wronskian-factorization", params,
                              "nonzero constant quadratic", f"degenerate quadratic {base}", started)
-    expected = Fraction(base) ** (n + 1)
-    return finish_report("wronskian-factorization", params, expected, w, started,
+    return finish_report("wronskian-factorization", params, Fraction(base) ** (n + 1),
+                         _ladder_determinant(ChainSpec(n, shift, kind, 2 * n + 2)), started,
                          note=f"quadratic constant {base}")
 
 
@@ -113,8 +133,8 @@ def verify_dependence(n: int, kind: Trig = Trig.SIN) -> VerificationReport:
     """One derivative past the annihilation threshold: the order 2n+3
     Wronskian of f, Df, ..., D^(2n+2) f must vanish identically."""
     started = time.perf_counter()
-    w = conjugated_wronskian(ChainSpec(n, 0, kind, 2 * n + 3)).determinant()
-    return finish_report("wronskian-dependence", {"n": n, "kind": kind.value}, 0, w, started)
+    return finish_report("wronskian-dependence", {"n": n, "kind": kind.value}, 0,
+                         _ladder_determinant(ChainSpec(n, 0, kind, 2 * n + 3)), started)
 
 
 def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Trig.SIN) -> VerificationReport:
@@ -135,10 +155,8 @@ def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Tr
         for i in range(size)])
     stack = pascal_product(size)
     conj = stack @ grid @ stack.transpose()
-    ladder = [monomial_derivative(n, kind, shift)]
-    for _ in range(2 * steps):
-        ladder.append(harmonic_step(ladder[-1]))
-    target = ExactMatrix([[ladder[i + j] for j in range(size)] for i in range(size)])
+    ladder = ladder_wronskian(ChainSpec(n, shift, kind, 2 * steps + 1))
+    target = ExactMatrix([[ladder[2 * i, 2 * j] for j in range(size)] for i in range(size)])
     params = {"steps": steps, "shift": shift, "n": n, "kind": kind.value}
     if conj != target:
         return finish_report("even-hankel-transform", params, "ok",
@@ -151,32 +169,14 @@ def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Tr
 
 def verify_wronskian_transform(n: int, kind: Trig = Trig.SIN) -> VerificationReport:
     """Conjugating the full 2n x 2n Wronskian matrix of f = x^n trig by the
-    stacked double-shift product must sort every entry onto the
-    (D^2+1)-ladder:
-
-        odd row, odd col   -> (D^2+1)^((i+j)/2 - 1) f
-        even row, even col -> D^2 (D^2+1)^((i+j)/2 - 2) f
-        mixed parity       -> D (D^2+1)^((i+j-3)/2) f
-    """
+    stacked double-shift product, multiplied out over the ring, must sort every
+    entry onto the (D^2+1)-ladder of ladder_wronskian."""
     started = time.perf_counter()
     if n < 1:
         raise ValueError("transform needs n >= 1")
-    conj = conjugated_wronskian(ChainSpec(n, 0, kind, 2 * n))
-    ladder = [basis_element(n, kind)]
-    for _ in range(2 * n):
-        ladder.append(harmonic_step(ladder[-1]))
-
-    def predicted(i: int, j: int) -> TrigPoly:
-        # 1-indexed positions
-        if i % 2 and j % 2:
-            return ladder[(i + j) // 2 - 1]
-        if not i % 2 and not j % 2:
-            return differentiate(differentiate(ladder[(i + j) // 2 - 2]))
-        return differentiate(ladder[(i + j - 3) // 2])
-
-    target = ExactMatrix.from_fn(2 * n, 2 * n, predicted)
+    spec = ChainSpec(n, 0, kind, 2 * n)
     return finish_report("wronskian-transform", {"n": n, "kind": kind.value}, "ok",
-                         first_difference(conj, target), started)
+                         first_difference(conjugated_wronskian(spec), ladder_wronskian(spec)), started)
 
 
 def coordinate_basis(n: int) -> tuple[tuple[int, Trig], ...]:

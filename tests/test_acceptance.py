@@ -29,6 +29,7 @@ from wronskit import (
     eval_at_zero,
     harmonic_step,
     is_constant,
+    ladder_wronskian,
     monomial_derivative,
     scaled_coordinate_matrix,
     verify_dependence,
@@ -168,8 +169,9 @@ def test_wronskian_factorization():
                 for kind in (Trig.SIN, Trig.COS):
                     rep = verify_wronskian_factorization(n, shift, kind)
                     assert rep.passed, rep.line()
-        # the north-star sizes: orders 42 and 62
-        for n in (20, 30):
+        # the north-star sizes: orders 42, 62 and 76, the largest whose value
+        # (4125 digits) CPython renders by default
+        for n in (20, 30, 37):
             for shift, kind in ((0, Trig.SIN), (2, Trig.COS)):
                 rep = verify_wronskian_factorization(n, shift, kind)
                 assert rep.passed, rep.line()
@@ -178,24 +180,25 @@ def test_wronskian_factorization():
         assert w0.determinant() == determinant_by_permutations(w0) == -1
         w1 = wronskian_hankel(ChainSpec(1, 0, Trig.SIN, 4))
         assert w1.determinant() == determinant_by_permutations(w1) == 16
-        # the conjugation keeps the determinant of the plain Hankel grid, at the
-        # threshold 2n+2, one past it, and below it where the value is not constant
+        # the conjugation and the ladder keep the determinant of the plain Hankel
+        # grid, at the threshold 2n+2, one past it, and below it where the value
+        # is not constant
         specs = [ChainSpec(n, shift, kind, 2 * n + 2)
                  for n in range(4) for shift in (0, 1, 2) for kind in (Trig.SIN, Trig.COS)]
         specs += [ChainSpec(n, 0, Trig.SIN, 2 * n + 3) for n in range(3)]
         specs += [ChainSpec(2, 1, Trig.SIN, 3), ChainSpec(3, 0, Trig.COS, 5)]
         for spec in specs:
             want = wronskian_hankel(spec).determinant()
-            conj = conjugated_wronskian(spec)
-            assert conj.determinant() == want, spec
-            if spec.count <= 6:
-                assert determinant_by_permutations(conj) == want, spec
+            for form in (conjugated_wronskian(spec), ladder_wronskian(spec)):
+                assert form.determinant() == want, spec
+                if spec.count <= 6:
+                    assert determinant_by_permutations(form) == want, spec
         assert all(is_constant(conjugated_wronskian(spec).determinant()) is None for spec in specs[-2:])
 
 
 def test_wronskian_dependence():
     with criterion("wronskian-dependence", 60.0):
-        for n in (*range(0, 9), 20, 30):
+        for n in (*range(0, 9), 20, 30, 37):
             for kind in (Trig.SIN, Trig.COS):
                 rep = verify_dependence(n, kind)
                 assert rep.passed, rep.line()

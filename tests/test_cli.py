@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -251,6 +252,23 @@ def test_wronskian_print_matrix(capsys):
     assert code == 0
     assert "s" in out and "c" in out
     assert out.strip().endswith("-1")
+
+
+def test_wronskian_past_the_digit_limit_exits_2(capsys):
+    # n = 37 has 4125 digits and renders; n = 38 has 4381
+    limit = sys.get_int_max_str_digits()
+    if limit == 0 or limit >= 4381:
+        pytest.skip(f"int digit limit {limit} renders n = 38")
+    n = 37
+    assert main(["wronskian", "--n", str(n)]) == 0
+    closed = (-1) ** (n + 1) * (2 ** n * math.factorial(n)) ** (2 * n + 2)
+    assert capsys.readouterr().out.strip().endswith(f": {closed}")
+    assert main(["wronskian", "--n", "38"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert f"sys.get_int_max_str_digits() = {limit}" in lines[0]
 
 
 def test_wronskian_rejects_negative(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,20 @@ from wronskit import (
     MatrixKind,
     MatrixSpec,
     Trig,
+    TrigPoly,
     basis_element,
     binomial_pattern_matrix,
     build,
+    conjugated_wronskian,
     coordinate_basis,
     coordinate_matrix,
     coordinates_in_basis,
     differentiate,
     harmonic_step,
     is_constant,
+    ladder_wronskian,
     monomial_derivative,
+    row_shift_matrix,
     scaled_coordinate_matrix,
     two_by_two,
     verify_basis_columns,
@@ -28,6 +33,7 @@ from wronskit import (
     verify_wronskian_transform,
     wronskian_hankel,
 )
+from wronskit import independence
 from oracles import determinant_by_permutations
 
 S = basis_element(0, Trig.SIN)
@@ -82,6 +88,60 @@ def test_wronskian_values_match_permutation_oracle():
     assert w0.determinant() == determinant_by_permutations(w0) == -1
     w1 = wronskian_hankel(ChainSpec(1, 0, Trig.SIN, 4))
     assert w1.determinant() == determinant_by_permutations(w1) == 16
+
+
+def test_ladder_matches_the_ring_product():
+    for n in range(7):
+        for shift in (0, 1, 2):
+            for kind in (Trig.SIN, Trig.COS):
+                for count in range(1, 2 * n + 5):
+                    spec = ChainSpec(n, shift, kind, count)
+                    ladder = ladder_wronskian(spec)
+                    assert ladder == conjugated_wronskian(spec), spec
+                    assert all(isinstance(v, TrigPoly) for i in range(count) for v in ladder.row(i))
+
+
+def test_double_shift_stack_is_the_interleaved_binomial_matrix():
+    for size in range(3, 61):
+        stack, difference = independence._double_shift_stack(size)
+        want = ExactMatrix([[math.comb(i // 2, j // 2) if (i - j) % 2 == 0 else 0 for j in range(size)]
+                            for i in range(size)])
+        assert stack == want, size
+        assert difference == "ok", size
+
+
+@pytest.fixture
+def fresh_stacks():
+    independence._double_shift_stack.cache_clear()
+    yield
+    independence._double_shift_stack.cache_clear()
+
+
+def test_a_wrong_stack_fails_the_checks(monkeypatch, fresh_stacks):
+    # single shifts in place of double shifts: S no longer has the ladder's rows
+    monkeypatch.setattr(independence, "double_shift_matrix", row_shift_matrix)
+    for rep in (verify_wronskian_factorization(2, 1, Trig.COS), verify_dependence(1, Trig.SIN)):
+        assert not rep.passed
+        assert rep.computed.startswith("double-shift stack off the ladder: entry (")
+        assert ", want " in rep.computed
+        assert "-> FAIL" in rep.line()
+
+
+def test_determinants_make_no_ring_product(monkeypatch, fresh_stacks):
+    product = ExactMatrix.__matmul__
+    calls = []
+
+    def counted(a, b):
+        symbolic = any(isinstance(v, TrigPoly) for m in (a, b) for i in range(m.rows) for v in m.row(i))
+        calls.append(symbolic)
+        return product(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+    assert verify_wronskian_factorization(4, 2, Trig.COS).passed
+    assert verify_dependence(4, Trig.SIN).passed
+    assert calls and not any(calls)  # the integer stack products only
+    conjugated_wronskian(ChainSpec(1, 0, Trig.SIN, 4))
+    assert calls[-2:] == [True, True]  # the counter does see a ring product
 
 
 def test_wronskian_factorization_reports():
