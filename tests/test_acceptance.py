@@ -29,6 +29,7 @@ from wronskit import (
     eval_at_zero,
     harmonic_step,
     is_constant,
+    ladder_rung,
     ladder_wronskian,
     monomial_derivative,
     scaled_coordinate_matrix,
@@ -203,6 +204,19 @@ def test_wronskian_dependence():
                 rep = verify_dependence(n, kind)
                 assert rep.passed, rep.line()
                 assert rep.expected == "0"
+
+
+def test_ladder_determinants_past_the_digit_limit():
+    # compared as ints, so no value is rendered; n = 100 is an order-202 determinant
+    with criterion("ladder-determinants-n60-n100", 60.0):
+        for n in (60, 100):
+            for spec, want in ((ChainSpec(n, 2, Trig.COS, 2 * n + 2),
+                                (-1) ** (n + 1) * (2 ** n * math.factorial(n)) ** (2 * n + 2)),
+                               (ChainSpec(n, 0, Trig.SIN, 2 * n + 3), 0)):
+                ladder_rung.cache_clear()
+                monomial_derivative.cache_clear()
+                det = ladder_wronskian(spec).determinant()
+                assert det == want, spec
 
 
 def test_hankel_and_wronskian_transforms():

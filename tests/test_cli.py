@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from wronskit import cli
+from wronskit import cli, verify_wronskian_factorization
 from wronskit.cli import SUITES, main
 from wronskit.report import VerificationReport
 
@@ -269,6 +269,23 @@ def test_wronskian_past_the_digit_limit_exits_2(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert f"sys.get_int_max_str_digits() = {limit}" in lines[0]
+
+
+def test_verify_past_the_digit_limit_exits_2(capsys):
+    # at a 640-digit limit the factorization value renders up to n = 16 (617
+    # digits) and not at n = 17 (709 digits)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert verify_wronskian_factorization(16).passed
+        assert main(["verify", "--suite", "wronskian", "--max-n", "17"]) == 2
+        captured = capsys.readouterr()
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "cannot render an exact value: it has more digits than sys.get_int_max_str_digits() = 640"]
 
 
 def test_wronskian_rejects_negative(capsys):

@@ -20,6 +20,7 @@ from wronskit import (
     differentiate,
     harmonic_step,
     is_constant,
+    ladder_rung,
     ladder_wronskian,
     monomial_derivative,
     row_shift_matrix,
@@ -33,7 +34,7 @@ from wronskit import (
     verify_wronskian_transform,
     wronskian_hankel,
 )
-from wronskit import independence
+from wronskit import independence, trigring
 from oracles import determinant_by_permutations
 
 S = basis_element(0, Trig.SIN)
@@ -111,13 +112,51 @@ def test_double_shift_stack_is_the_interleaved_binomial_matrix():
 
 
 @pytest.fixture
-def fresh_stacks():
+def fresh_caches():
     independence._double_shift_stack.cache_clear()
+    ladder_rung.cache_clear()
     yield
     independence._double_shift_stack.cache_clear()
+    ladder_rung.cache_clear()
 
 
-def test_a_wrong_stack_fails_the_checks(monkeypatch, fresh_stacks):
+def test_ladder_rung_is_a_harmonic_step_power(fresh_caches):
+    for n in range(6):
+        for kind in (Trig.SIN, Trig.COS):
+            for order in range(5):
+                u = monomial_derivative(n, kind, order)
+                for k in range(n + 3):
+                    rung = ladder_rung(n, kind, order, k)
+                    assert rung == u, (n, kind, order, k)
+                    assert (rung == 0) == (k >= n + 1), (n, kind, order, k)
+                    u = harmonic_step(u)
+    # a cold read of a high rung fills the rungs below in strides instead of
+    # recursing 3k levels deep, past the interpreter's recursion limit
+    n = 400
+    assert is_constant(two_by_two(n, 2, Trig.COS)) == -(2 ** n * math.factorial(n)) ** 2
+    with pytest.raises(ValueError):
+        ladder_rung(1, Trig.SIN, -1, 0)
+    with pytest.raises(ValueError):
+        ladder_rung(1, Trig.SIN, 0, -1)
+
+
+def test_a_warm_ladder_makes_no_derivative(monkeypatch, fresh_caches):
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return differentiate(u)
+
+    monkeypatch.setattr(trigring, "differentiate", counted)
+    spec = ChainSpec(3, 1, Trig.COS, 9)
+    first = ladder_wronskian(spec)
+    assert calls  # the counter sees the cold build
+    calls.clear()
+    assert ladder_wronskian(spec) == first
+    assert calls == []
+
+
+def test_a_wrong_stack_fails_the_checks(monkeypatch, fresh_caches):
     # single shifts in place of double shifts: S no longer has the ladder's rows
     monkeypatch.setattr(independence, "double_shift_matrix", row_shift_matrix)
     for rep in (verify_wronskian_factorization(2, 1, Trig.COS), verify_dependence(1, Trig.SIN)):
@@ -127,7 +166,7 @@ def test_a_wrong_stack_fails_the_checks(monkeypatch, fresh_stacks):
         assert "-> FAIL" in rep.line()
 
 
-def test_determinants_make_no_ring_product(monkeypatch, fresh_stacks):
+def test_determinants_make_no_ring_product(monkeypatch, fresh_caches):
     product = ExactMatrix.__matmul__
     calls = []
 

@@ -144,6 +144,21 @@ def test_canonical_zero_cleanup():
     assert dict(u.q) == {}
 
 
+def _stores_no_zero(u: TrigPoly) -> bool:
+    return 0 not in u.p.values() and 0 not in u.q.values()
+
+
+@given(trigpolys, trigpolys, st.integers(-3, 3) | st.fractions(max_denominator=4))
+@settings(deadline=None)
+def test_ring_results_store_no_zero_coefficient(u, v, k):
+    results = [u + v, u - v, -u, u * k, k * u, u * 0, u * v, differentiate(u), harmonic_step(u),
+               u - u, u + (-u), u * v - v * u, differentiate(TrigPoly.constant(k)),
+               differentiate(u) - differentiate(u), u + k, k - u]
+    for w in results:
+        assert _stores_no_zero(w), w
+    assert not (u - u) and not (u + (-u)) and not (u * 0) and not differentiate(TrigPoly.constant(k))
+
+
 @given(trigpolys, trigpolys)
 @settings(deadline=None)
 def test_leibniz_rule(u, v):
