@@ -4,14 +4,17 @@ it costs those pairs rather than rows x cols x inner, one fraction-free
 (Bareiss) elimination for the rank and the determinant of integer and
 rational matrices, a division-free determinant memoized over column subsets
 for TrigPoly entries, and the even/odd interleave split for checkerboard
-matrices."""
+matrices.  Where TrigPoly entries meet, each product entry and each minor
+is one signed sum of products, reduced by TrigPoly.sum_of_products."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-Entry = Any  # int | Fraction | TrigPoly; anything with ring +, -, * and truthiness
+from .trigring import TrigPoly
+
+Entry = Any  # int | Fraction | TrigPoly
 
 
 class ExactMatrix:
@@ -78,6 +81,20 @@ class ExactMatrix:
                 f"dimension mismatch: {self._rows}x{self._cols} @ {other._rows}x{other._cols}")
         right = [[(j, v) for j, v in enumerate(other.row(k)) if v] for k in range(other._rows)]
         out = []
+        if TrigPoly in set(map(type, self._e)) or TrigPoly in set(map(type, other._e)):
+            # ring entries: gather each output entry's pairs, reduce them once
+            for i in range(self._rows):
+                pairs: list[list | None] = [None] * other._cols
+                for e, terms in zip(self.row(i), right):
+                    if e:
+                        for j, v in terms:
+                            got = pairs[j]
+                            if got is None:
+                                pairs[j] = [(1, e, v)]
+                            else:
+                                got.append((1, e, v))
+                out.append([0 if t is None else TrigPoly.sum_of_products(t) for t in pairs])
+            return ExactMatrix(out)
         for i in range(self._rows):
             acc: list[Entry] = [None] * other._cols
             for e, terms in zip(self.row(i), right):
@@ -137,11 +154,12 @@ class ExactMatrix:
         """Exact determinant of a square matrix.
 
         Integer and rational matrices go through the Bareiss elimination that
-        ``rank`` uses: O(n^3) exact operations, an int for an int matrix.  Any
-        other entry (TrigPoly) takes the division-free expansion along the
-        last row of each leading-rows submatrix, memoized over column subsets:
-        O(n 2^n) ring operations instead of n! and no divisions, so it is
-        valid over any commutative ring.
+        ``rank`` uses: O(n^3) exact operations, an int for an int matrix.  A
+        matrix with a TrigPoly entry takes the division-free expansion along
+        the last row of each leading-rows submatrix, memoized over column
+        subsets: O(n 2^n) ring operations instead of n! and no divisions.
+        Each minor of two or more rows is one TrigPoly.sum_of_products over
+        its signed (entry, sub-minor) pairs, so it is a TrigPoly.
         """
         if self._rows != self._cols:
             raise ValueError("determinant needs a square matrix")
@@ -156,20 +174,23 @@ class ExactMatrix:
             if got is not None:
                 return got
             k = mask.bit_count()
+            if k == 1:
+                return flat[mask.bit_length() - 1]
             base = (k - 1) * n
-            acc: Entry = 0
-            pos = 0
+            terms = []
+            pos = k - 1
             m = mask
             while m:
                 c = (m & -m).bit_length() - 1
                 entry = flat[base + c]
                 if entry:
-                    term = entry if k == 1 else entry * minor(mask ^ (1 << c))
-                    acc = acc - term if (k - 1 + pos) % 2 else acc + term
+                    sub = minor(mask ^ (1 << c))
+                    if sub:
+                        terms.append((-1 if pos % 2 else 1, entry, sub))
                 pos += 1
                 m &= m - 1
-            memo[mask] = acc
-            return acc
+            memo[mask] = got = TrigPoly.sum_of_products(terms)
+            return got
 
         return minor((1 << n) - 1)
 

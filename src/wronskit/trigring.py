@@ -12,6 +12,12 @@ Elements are immutable; all operations return fresh values, which keeps
 them safe to share across threads and caches.  Term dicts from outside are
 cleaned of zero coefficients once, in the constructor; the ring operations
 build their results clean and wrap them as they are.
+
+Every product of two elements goes through one kernel,
+``TrigPoly.sum_of_products``: it accumulates a whole signed sum of products
+into one pair of term dicts, so a determinant's cofactor expansion or a
+matrix product's entry builds no intermediate product and copies no partial
+sum.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from typing import Iterable
 
 Coeff = int | Fraction
 # (x degree, c degree) -> coefficient; zero coefficients are never stored
@@ -54,19 +61,6 @@ def _scale(a: Terms, k: Coeff) -> Terms:
     if not k:
         return {}
     return {m: v * k for m, v in a.items()}
-
-
-def _mul(a: Terms, b: Terms) -> Terms:
-    out: Terms = {}
-    for (xa, ca), va in a.items():
-        for (xb, cb), vb in b.items():
-            m = (xa + xb, ca + cb)
-            w = out.get(m, 0) + va * vb
-            if w:
-                out[m] = w
-            elif m in out:
-                del out[m]
-    return out
 
 
 def _diff_x(a: Terms) -> Terms:
@@ -164,17 +158,62 @@ class TrigPoly:
         return o.__sub__(self)
 
     def __mul__(self, other):
+        if isinstance(other, TrigPoly):
+            return TrigPoly.sum_of_products(((1, self, other),))
         if isinstance(other, (int, Fraction)):
             return TrigPoly._of(_scale(self._p, other), _scale(self._q, other))
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        # (p1 + s q1)(p2 + s q2) = p1 p2 + (1 - c^2) q1 q2 + s (p1 q2 + q1 p2)
-        qq = _mul(self._q, other._q)
-        p = _add(_mul(self._p, other._p), _add(qq, _neg(_times_c(qq, 2))))
-        q = _add(_mul(self._p, other._q), _mul(self._q, other._p))
-        return TrigPoly._of(p, q)
+        return NotImplemented
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(terms: Iterable[tuple[Coeff, TrigPoly | Coeff, TrigPoly | Coeff]]) -> TrigPoly:
+        """The sum of k * u * v over the (k, u, v) terms, with k an int or
+        Fraction (a sign, as a rule) and u, v each a TrigPoly, int or Fraction.
+        An empty sum is zero.
+
+        Every product is added straight into one p dict and one q dict, using
+        (p1 + s q1)(p2 + s q2) = p1 p2 + (1 - c^2) q1 q2 + s (p1 q2 + q1 p2),
+        and zero coefficients are dropped once at the end: no product is built
+        along the way and no partial sum is copied.
+        """
+        p: Terms = {}
+        q: Terms = {}
+        pget = p.get
+        qget = q.get
+        for k, u, v in terms:
+            if not isinstance(u, TrigPoly):
+                u, v = v, u
+            if not isinstance(u, TrigPoly):  # two scalars
+                p[(0, 0)] = pget((0, 0), 0) + k * u * v
+                continue
+            if not isinstance(v, TrigPoly):  # u times a scalar
+                k *= v
+                for m, w in u._p.items():
+                    p[m] = pget(m, 0) + k * w
+                for m, w in u._q.items():
+                    q[m] = qget(m, 0) + k * w
+                continue
+            up, uq, vp, vq = u._p, u._q, v._p, v._q
+            for (xa, ca), wa in up.items():
+                wa *= k
+                for (xb, cb), wb in vp.items():
+                    m = (xa + xb, ca + cb)
+                    p[m] = pget(m, 0) + wa * wb
+                for (xb, cb), wb in vq.items():
+                    m = (xa + xb, ca + cb)
+                    q[m] = qget(m, 0) + wa * wb
+            for (xa, ca), wa in uq.items():
+                wa *= k
+                for (xb, cb), wb in vp.items():
+                    m = (xa + xb, ca + cb)
+                    q[m] = qget(m, 0) + wa * wb
+                for (xb, cb), wb in vq.items():
+                    x, c = xa + xb, ca + cb
+                    w = wa * wb
+                    p[(x, c)] = pget((x, c), 0) + w
+                    p[(x, c + 2)] = pget((x, c + 2), 0) - w
+        return TrigPoly._of(_clean(p), _clean(q))
 
     def __str__(self) -> str:
         # term order: (s degree, x degree, c degree) descending

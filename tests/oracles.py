@@ -50,6 +50,20 @@ def eval_float(u: TrigPoly, x: float) -> float:
     return val
 
 
+# rational points (s, c) with s^2 + c^2 = 1: substituting one of them and a
+# rational x is a ring homomorphism from Q[x, s, c] / (s^2 + c^2 - 1) to Q
+CIRCLE_POINTS = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-5, 13), Fraction(12, 13)),
+                 (Fraction(8, 17), Fraction(-15, 17)))
+
+
+def eval_exact(u, x: Fraction, s: Fraction, c: Fraction) -> Fraction:
+    """Exact value of a TrigPoly, int or Fraction at (x, s, c)."""
+    if not isinstance(u, TrigPoly):
+        return Fraction(u)
+    val = sum((v * x ** xd * c ** cd for (xd, cd), v in u.p.items()), Fraction(0))
+    return val + s * sum((v * x ** xd * c ** cd for (xd, cd), v in u.q.items()), Fraction(0))
+
+
 def central_difference(u: TrigPoly, x: float, step: float = 1e-5) -> float:
     return (eval_float(u, x + step) - eval_float(u, x - step)) / (2.0 * step)
 

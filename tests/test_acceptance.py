@@ -233,6 +233,15 @@ def test_hankel_and_wronskian_transforms():
                 assert rep.passed, rep.line()
 
 
+def test_reference_witnesses():
+    # the literal S W S^T at order 24, and a 9 x 9 even-Hankel grid conjugated
+    # with both determinants taken by the subset DP over the ring
+    with criterion("reference-witnesses", 10.0):
+        for rep in (verify_wronskian_transform(12), verify_wronskian_transform(12, Trig.COS),
+                    verify_even_hankel_transform(8, 2, 8, Trig.COS)):
+            assert rep.passed and rep.computed == "ok", rep.line()
+
+
 def test_ring_correctness():
     with criterion("ring-correctness", 10.0):
         rng = random.Random(13)

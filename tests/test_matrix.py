@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wronskit import ExactMatrix, Trig, basis_element, first_difference
+from wronskit import ExactMatrix, Trig, TrigPoly, basis_element, first_difference
 from oracles import (
     determinant_by_permutations,
     product_by_definition,
@@ -95,7 +95,7 @@ def _sparse(rng, rows, cols, density, kind):
 
 @pytest.mark.parametrize("left, right", [
     ("int", "int"), ("fraction", "fraction"), ("mixed", "mixed"), ("mixed", "int"),
-    ("trigpoly", "int"), ("int", "trigpoly")])
+    ("trigpoly", "int"), ("int", "trigpoly"), ("trigpoly", "trigpoly")])
 def test_matmul_matches_product_by_definition(left, right):
     rng = Random(f"{left}@{right}")
     for density in (0.2, 0.4, 0.6, 0.8, 1.0):
@@ -160,6 +160,40 @@ def test_determinant_over_trig_ring():
     m = ExactMatrix([[S, C], [-C, S]])
     assert m.determinant() == 1
     assert determinant_by_permutations(m) == 1
+
+
+def test_trig_determinant_matches_permutation_oracle():
+    rng = Random(17)
+    for order in range(1, 6):
+        for _ in range(4):
+            rows = [[0 if rng.random() < 0.3 else random_trigpoly(rng, terms=2, bound=3)
+                     for _ in range(order)] for _ in range(order)]
+            rows[-1][0] = random_trigpoly(rng, terms=2, bound=3)
+            # the matrix, and a singular one whose first row repeats its last
+            cases = [ExactMatrix(rows)] + ([ExactMatrix([rows[-1]] + rows[1:])] if order > 1 else [])
+            for m in cases:
+                det = m.determinant()
+                assert isinstance(det, TrigPoly)
+                assert det == determinant_by_permutations(m), m.pretty()
+
+
+def test_rational_matrices_never_reach_the_ring_kernel(monkeypatch):
+    def refuse(terms):
+        raise AssertionError("TrigPoly kernel called on a rational matrix")
+
+    monkeypatch.setattr(TrigPoly, "sum_of_products", staticmethod(refuse))
+    rng = Random(19)
+    a = random_int_matrix(rng, 4, 5)
+    ints = a @ random_int_matrix(rng, 5, 3)
+    assert all(type(v) is int for i in range(ints.rows) for v in ints.row(i))
+    fracs = a @ random_rational_matrix(rng, 5)
+    types = {type(v) for i in range(fracs.rows) for v in fracs.row(i)}
+    assert Fraction in types and types <= {int, Fraction}
+    square = random_int_matrix(rng, 5, 5)
+    assert type(square.determinant()) is int
+    assert square.determinant() == determinant_by_permutations(square)
+    assert type((square @ square).determinant()) is int
+    assert isinstance(random_rational_matrix(rng, 4).determinant(), (int, Fraction))
 
 
 @given(matched_square_pairs)

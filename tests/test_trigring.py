@@ -3,7 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wronskit import (
     ChainSpec,
@@ -18,7 +18,7 @@ from wronskit import (
     is_constant,
     monomial_derivative,
 )
-from oracles import central_difference, eval_float, random_trigpoly
+from oracles import CIRCLE_POINTS, central_difference, eval_exact, eval_float, random_trigpoly
 
 S = basis_element(0, Trig.SIN)
 C = basis_element(0, Trig.COS)
@@ -29,6 +29,9 @@ terms = st.dictionaries(
     max_size=4,
 )
 trigpolys = st.builds(TrigPoly, terms, terms)
+scalars = st.integers(-3, 3) | st.fractions(max_denominator=4)
+operands = trigpolys | scalars
+signed_terms = st.lists(st.tuples(st.sampled_from((1, -1)), operands, operands), max_size=5)
 
 
 def test_pythagorean_collapse():
@@ -148,15 +151,37 @@ def _stores_no_zero(u: TrigPoly) -> bool:
     return 0 not in u.p.values() and 0 not in u.q.values()
 
 
-@given(trigpolys, trigpolys, st.integers(-3, 3) | st.fractions(max_denominator=4))
+@given(trigpolys, trigpolys, scalars)
 @settings(deadline=None)
 def test_ring_results_store_no_zero_coefficient(u, v, k):
+    cancelling = TrigPoly.sum_of_products([(1, u, v), (-1, v, u), (k, u, 1), (-1, k, u)])
     results = [u + v, u - v, -u, u * k, k * u, u * 0, u * v, differentiate(u), harmonic_step(u),
                u - u, u + (-u), u * v - v * u, differentiate(TrigPoly.constant(k)),
-               differentiate(u) - differentiate(u), u + k, k - u]
+               differentiate(u) - differentiate(u), u + k, k - u, cancelling,
+               TrigPoly.sum_of_products([(1, u, v), (-1, k, v), (1, k, k), (-1, u, 0)])]
     for w in results:
         assert _stores_no_zero(w), w
     assert not (u - u) and not (u + (-u)) and not (u * 0) and not differentiate(TrigPoly.constant(k))
+    assert not cancelling
+
+
+@given(signed_terms)
+@example([])
+@example([(1, S, C), (-1, C, S)])
+@example([(1, S, S), (1, C, C), (-1, 1, 1)])
+@settings(deadline=None)
+def test_sum_of_products_matches_the_naive_sum(terms):
+    got = TrigPoly.sum_of_products(terms)
+    assert isinstance(got, TrigPoly) and _stores_no_zero(got)
+    naive = 0
+    for k, u, v in terms:
+        naive = naive + k * u * v
+    assert got == naive
+    # exact values at rational points of the circle, independent of the ring code
+    for x in (Fraction(1, 2), Fraction(-3)):
+        for s, c in CIRCLE_POINTS:
+            want = sum(k * eval_exact(u, x, s, c) * eval_exact(v, x, s, c) for k, u, v in terms)
+            assert eval_exact(got, x, s, c) == want
 
 
 @given(trigpolys, trigpolys)
