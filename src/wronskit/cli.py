@@ -31,6 +31,7 @@ from .independence import (
 )
 from .report import VerificationReport
 from .structured import (
+    CLOSED_FORM_KINDS,
     MatrixKind,
     MatrixSpec,
     build,
@@ -306,26 +307,13 @@ def _load_config(args: argparse.Namespace) -> SuiteConfig:
     return config
 
 
-def _digit_limit_message() -> str:
-    """The one line printed when an exact value has too many digits to render;
-    the limit is the process's own, which the library never changes."""
-    return (f"cannot render an exact value: it has more digits than "
-            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}")
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         config = _load_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    try:
-        reports, duration = run_checks(config)
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):
-            raise
-        print(_digit_limit_message(), file=sys.stderr)
-        return 2
+    reports, duration = run_checks(config)
     text = render_json(reports, duration) if config.fmt == "json" else render_markdown(reports, duration)
     if config.output:
         try:
@@ -354,10 +342,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    try:
-        identity_report = det_identity(spec)
-    except ValueError:  # the kind has no closed form
-        identity_report = None
+    identity_report = det_identity(spec) if kind in CLOSED_FORM_KINDS else None
     if args.json:
         doc = mat.to_json_dict()
         if identity_report is not None:
@@ -384,23 +369,17 @@ def _cmd_wronskian(args: argparse.Namespace) -> int:
     if args.print_matrix:
         print(wronskian_hankel(spec).pretty())
     det = ladder_wronskian(spec).determinant()
-    try:
-        value = str(det)
-    except ValueError:  # an int past CPython's limit on rendered digits
-        print(_digit_limit_message(), file=sys.stderr)
-        return 2
     print(f"Wronskian of D^{spec.shift} f .. D^{spec.shift + count - 1} f, "
-          f"f = x^{spec.n} {spec.kind.value}(x): {value}")
+          f"f = x^{spec.n} {spec.kind.value}(x): {det}")
     return 0
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
-    checker = check_odd_binomial_sum if args.which == "odd" else check_even_binomial_sum
-    try:
-        report = checker(args.n, args.j)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    if args.n < 1 or args.j < 1:
+        print("configuration error: n and j must be >= 1", file=sys.stderr)
         return 2
+    checker = check_odd_binomial_sum if args.which == "odd" else check_even_binomial_sum
+    report = checker(args.n, args.j)
     print(report.line())
     return 0 if report.passed else 1
 
@@ -408,13 +387,20 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "matrix":
-        return _cmd_matrix(args)
-    if args.command == "wronskian":
-        return _cmd_wronskian(args)
-    return _cmd_identity(args)
+    try:
+        if args.command == "verify":
+            return _cmd_verify(args)
+        if args.command == "matrix":
+            return _cmd_matrix(args)
+        if args.command == "wronskian":
+            return _cmd_wronskian(args)
+        return _cmd_identity(args)
+    except ValueError as exc:  # an int past the process's own limit, which wronskit never changes
+        if "integer string conversion" not in str(exc):
+            raise
+        print("cannot render an exact value: it has more digits than "
+              f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}", file=sys.stderr)
+        return 2
 
 
 def run_main() -> None:

@@ -81,7 +81,7 @@ class ExactMatrix:
                 f"dimension mismatch: {self._rows}x{self._cols} @ {other._rows}x{other._cols}")
         right = [[(j, v) for j, v in enumerate(other.row(k)) if v] for k in range(other._rows)]
         out = []
-        if TrigPoly in set(map(type, self._e)) or TrigPoly in set(map(type, other._e)):
+        if self._holds_ring() or other._holds_ring():
             # ring entries: gather each output entry's pairs, reduce them once
             for i in range(self._rows):
                 pairs: list[list | None] = [None] * other._cols
@@ -108,8 +108,8 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(zip(*(self.row(i) for i in range(self._rows))))
 
-    def _is_rational(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self._e)
+    def _holds_ring(self) -> bool:  # is an entry a TrigPoly: one C-level pass over the types
+        return TrigPoly in set(map(type, self._e))
 
     def _bareiss(self) -> tuple[int, Entry]:
         """Fraction-free (Bareiss) elimination with exact division over the
@@ -163,7 +163,7 @@ class ExactMatrix:
         """
         if self._rows != self._cols:
             raise ValueError("determinant needs a square matrix")
-        if self._is_rational():
+        if not self._holds_ring():
             return self._bareiss()[1]
         n = self._rows
         flat = self._e
@@ -197,7 +197,7 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank by the Bareiss elimination.  Entries must embed in the
         rationals; TrigPoly matrices have no rank here."""
-        if not self._is_rational():
+        if self._holds_ring():
             raise TypeError("rank needs integer or rational entries")
         return self._bareiss()[0]
 

@@ -120,6 +120,10 @@ def _need_size(n: int) -> None:
         raise ValueError("matrix size parameter must be >= 1")
 
 
+CLOSED_FORM_KINDS = frozenset(
+    {MatrixKind.BINOM_ODD, MatrixKind.BINOM_EVEN, MatrixKind.BINOM_AFFINE, MatrixKind.BINOM_NODES})
+
+
 def det_closed_form(spec: MatrixSpec) -> Rat:
     """Exact closed form for the determinant of the binomial kinds.
 

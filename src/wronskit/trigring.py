@@ -9,22 +9,26 @@ every power of s above the first, so each element has a unique canonical form
 and equality is coefficient comparison.  The ring is an integral domain
 (the relation is irreducible), hence a product is zero only if a factor is.
 Elements are immutable; all operations return fresh values, which keeps
-them safe to share across threads and caches.  Term dicts from outside are
-cleaned of zero coefficients once, in the constructor; the ring operations
-build their results clean and wrap them as they are.
+them safe to share across threads and in the rung table.  Term dicts from
+outside are cleaned of zero coefficients once, in the constructor; the ring
+operations build their results clean and wrap them as they are.
 
 Every product of two elements goes through one kernel,
 ``TrigPoly.sum_of_products``: it accumulates a whole signed sum of products
 into one pair of term dicts, so a determinant's cofactor expansion or a
 matrix product's entry builds no intermediate product and copies no partial
 sum.
+
+Every derivative and (D^2+1)-ladder rung of x^n trig comes from one rung
+table that loops fill, to any depth, once per process; a miss fills it under
+one lock, since concurrent fills would put rungs in each other's slots.
 """
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable
 
@@ -61,18 +65,6 @@ def _scale(a: Terms, k: Coeff) -> Terms:
     if not k:
         return {}
     return {m: v * k for m, v in a.items()}
-
-
-def _diff_x(a: Terms) -> Terms:
-    return {(xd - 1, cd): v * xd for (xd, cd), v in a.items() if xd}
-
-
-def _diff_c(a: Terms) -> Terms:
-    return {(xd, cd - 1): v * cd for (xd, cd), v in a.items() if cd}
-
-
-def _times_c(a: Terms, power: int = 1) -> Terms:
-    return {(xd, cd + power): v for (xd, cd), v in a.items()}
 
 
 class TrigPoly:
@@ -273,11 +265,27 @@ def differentiate(u: TrigPoly) -> TrigPoly:
 
     Closed form on the canonical pair, already free of s^2:
         D(p + s q) = (p_x + c q + (c^2 - 1) q_c) + s (q_x - p_c).
+    Terms go straight into one p and one q dict, cleaned once at the end.
     """
-    qc = _diff_c(u._q)
-    p = _add(_diff_x(u._p), _add(_times_c(u._q), _add(_times_c(qc, 2), _neg(qc))))
-    q = _add(_diff_x(u._q), _neg(_diff_c(u._p)))
-    return TrigPoly._of(p, q)
+    p: Terms = {}
+    q: Terms = {}
+    for (x, c), v in u._p.items():  # one to one onto new keys: no lookup
+        if x:
+            p[x - 1, c] = v * x
+        if c:
+            q[x, c - 1] = -v * c
+    pget, qget = p.get, q.get
+    for (x, c), v in u._q.items():
+        if x:
+            m = (x - 1, c)
+            q[m] = qget(m, 0) + v * x
+        w = v * c  # c q and c^2 q_c meet in the c^(c+1) term
+        m = (x, c + 1)
+        p[m] = pget(m, 0) + v + w
+        if c:
+            m = (x, c - 1)
+            p[m] = pget(m, 0) - w
+    return TrigPoly._of(_clean(p), _clean(q))
 
 
 def harmonic_step(u: TrigPoly) -> TrigPoly:
@@ -301,40 +309,42 @@ def is_constant(u: TrigPoly) -> Coeff | None:
     return None
 
 
-@lru_cache(maxsize=None)
 def monomial_derivative(power: int, kind: Trig, order: int) -> TrigPoly:
-    """order-th derivative of x^power * sin x (or cos x), cached.
-
-    The whole derivative family lives in span{x^i sin x, x^i cos x : i <= power},
-    so results stay small and are shared by every verifier.
-    """
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    if order == 0:
-        return basis_element(power, kind)
-    return differentiate(monomial_derivative(power, kind, order - 1))
+    """order-th derivative of x^power * sin x (or cos x): the k = 0 row of the
+    rung table.  The whole derivative family lives in
+    span{x^i sin x, x^i cos x : i <= power}, so results stay small."""
+    return ladder_rung(power, kind, order, 0)
 
 
-# a cold ladder_rung read recurses three levels per rung; past this many rungs
-# it fills the rung this far below first, so no read nears the recursion limit
-_RUNG_STRIDE = 64
+# (power, kind) -> rows, rows[k][order] = D^order (D^2+1)^k (x^power trig).
+# Lists only grow, by appends made under _rungs_lock, so an index that is
+# present always holds its final rung and a read needs no lock.
+_rungs: dict[tuple[int, Trig], list[list[TrigPoly]]] = {}
+_rungs_lock = threading.Lock()
 
 
-@lru_cache(maxsize=None)
 def ladder_rung(power: int, kind: Trig, order: int, k: int) -> TrigPoly:
-    """D^order (D^2+1)^k (x^power * sin x or cos x), cached: one rung of the
-    (D^2+1)-ladder, read by every ladder consumer.
+    """D^order (D^2+1)^k (x^power * sin x or cos x): one rung of the
+    (D^2+1)-ladder, read from the table by every ladder consumer.
 
-    A rung above the bottom adds the cached D^2 of the rung below to that rung,
-    so a whole ladder costs one differentiate per new (order, k).  From
-    k = power + 1 on every rung is zero.
+    A miss fills rows by loops: order 0 of row k is D^2 + D^0 of row k - 1,
+    each higher order one differentiate, so a whole ladder costs one ring
+    operation per new (order, k).  From k = power + 1 on every rung is zero.
     """
     if order < 0 or k < 0:
         raise ValueError("ladder rung needs order >= 0 and k >= 0")
-    if k == 0:
-        return monomial_derivative(power, kind, order)
-    if order > 0:
-        return differentiate(ladder_rung(power, kind, order - 1, k))
-    if k > _RUNG_STRIDE:
-        ladder_rung(power, kind, 0, k - _RUNG_STRIDE)
-    return ladder_rung(power, kind, 2, k - 1) + ladder_rung(power, kind, 0, k - 1)
+    try:
+        return _rungs[power, kind][k][order]
+    except (KeyError, IndexError):
+        pass
+    with _rungs_lock:
+        rows = _rungs.setdefault((power, kind), [[basis_element(power, kind)]])
+        while len(rows) <= k:
+            below = rows[-1]
+            while len(below) < 3:
+                below.append(differentiate(below[-1]))
+            rows.append([below[2] + below[0]])
+        row = rows[k]
+        while len(row) <= order:
+            row.append(differentiate(row[-1]))
+        return row[order]

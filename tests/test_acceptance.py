@@ -29,10 +29,10 @@ from wronskit import (
     eval_at_zero,
     harmonic_step,
     is_constant,
-    ladder_rung,
     ladder_wronskian,
     monomial_derivative,
     scaled_coordinate_matrix,
+    trigring,
     verify_dependence,
     verify_even_hankel_transform,
     verify_full_rank,
@@ -213,8 +213,7 @@ def test_ladder_determinants_past_the_digit_limit():
             for spec, want in ((ChainSpec(n, 2, Trig.COS, 2 * n + 2),
                                 (-1) ** (n + 1) * (2 ** n * math.factorial(n)) ** (2 * n + 2)),
                                (ChainSpec(n, 0, Trig.SIN, 2 * n + 3), 0)):
-                ladder_rung.cache_clear()
-                monomial_derivative.cache_clear()
+                trigring._rungs.clear()
                 det = ladder_wronskian(spec).determinant()
                 assert det == want, spec
 

@@ -288,6 +288,37 @@ def test_verify_past_the_digit_limit_exits_2(capsys):
         "cannot render an exact value: it has more digits than sys.get_int_max_str_digits() = 640"]
 
 
+def test_matrix_and_identity_past_the_digit_limit_exit_2(capsys):
+    # at a 640-digit limit neither the closed form 1000^C(25, 2) (901 digits)
+    # nor 2^499 C(2999, 499) renders: the matrix must not drop its identity
+    # line and exit 0, and the identity must not call it a configuration error
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        codes, captured = [], []
+        for argv in (["matrix", "--kind", "binom-affine", "--n", "25", "--a", "1000", "--b", "0"],
+                     ["identity", "--which", "odd", "--n", "500", "--j", "3000"]):
+            codes.append(main(argv))
+            captured.append(capsys.readouterr())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert codes == [2, 2]
+    for got in captured:
+        assert got.out == ""
+        assert got.err.splitlines() == [
+            "cannot render an exact value: it has more digits than sys.get_int_max_str_digits() = 640"]
+
+
+def test_large_shifts_run(tmp_path, capsys):
+    assert main(["wronskian", "--n", "1", "--shift", "600"]) == 0
+    assert capsys.readouterr().out.strip().endswith(": 16")
+    code, doc = run_to_json(tmp_path, "shift.json",
+                            ["verify", "--suite", "wronskian", "--max-n", "1", "--shifts", "1200"])
+    assert code == 0
+    assert doc["records"] and all(r["pass"] for r in doc["records"])
+    assert {r["params"]["shift"] for r in doc["records"] if "shift" in r["params"]} == {1200}
+
+
 def test_wronskian_rejects_negative(capsys):
     assert main(["wronskian", "--n", "-1"]) == 2
 

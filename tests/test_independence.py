@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -114,10 +116,10 @@ def test_double_shift_stack_is_the_interleaved_binomial_matrix():
 @pytest.fixture
 def fresh_caches():
     independence._double_shift_stack.cache_clear()
-    ladder_rung.cache_clear()
+    trigring._rungs.clear()
     yield
     independence._double_shift_stack.cache_clear()
-    ladder_rung.cache_clear()
+    trigring._rungs.clear()
 
 
 def test_ladder_rung_is_a_harmonic_step_power(fresh_caches):
@@ -130,10 +132,12 @@ def test_ladder_rung_is_a_harmonic_step_power(fresh_caches):
                     assert rung == u, (n, kind, order, k)
                     assert (rung == 0) == (k >= n + 1), (n, kind, order, k)
                     u = harmonic_step(u)
-    # a cold read of a high rung fills the rungs below in strides instead of
-    # recursing 3k levels deep, past the interpreter's recursion limit
+    # a cold read of a high rung fills the rows below it, and each row up to
+    # its order, by loops: neither k nor the order nears the recursion limit
     n = 400
     assert is_constant(two_by_two(n, 2, Trig.COS)) == -(2 ** n * math.factorial(n)) ** 2
+    trigring._rungs.clear()
+    assert is_constant(two_by_two(3, 3000, Trig.COS)) == -(2 ** 3 * math.factorial(3)) ** 2
     with pytest.raises(ValueError):
         ladder_rung(1, Trig.SIN, -1, 0)
     with pytest.raises(ValueError):
@@ -154,6 +158,30 @@ def test_a_warm_ladder_makes_no_derivative(monkeypatch, fresh_caches):
     calls.clear()
     assert ladder_wronskian(spec) == first
     assert calls == []
+
+
+def test_concurrent_cold_reads_build_the_serial_ladder(fresh_caches):
+    spec = ChainSpec(6, 3, Trig.COS, 14)
+    want = ladder_wronskian(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            trigring._rungs.clear()
+            got = [None] * 4
+
+            def read(i):
+                got[i] = ladder_wronskian(spec)
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), trial
+            assert got == [want] * 4, trial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_a_wrong_stack_fails_the_checks(monkeypatch, fresh_caches):

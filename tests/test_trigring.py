@@ -17,6 +17,7 @@ from wronskit import (
     harmonic_step,
     is_constant,
     monomial_derivative,
+    trigring,
 )
 from oracles import CIRCLE_POINTS, central_difference, eval_exact, eval_float, random_trigpoly
 
@@ -81,6 +82,13 @@ def test_derivative_chain_of_x_sin_x():
     assert d1 == S + basis_element(1, Trig.COS)
     d4 = monomial_derivative(1, Trig.SIN, 4)
     assert d4 == f - 4 * C
+
+
+def test_a_cold_derivative_of_any_order():
+    # Leibniz: D^n (x sin x) = x sin^(n) x + n sin^(n-1) x, and 5000 = 0 mod 4;
+    # the rung table fills by loops, so no order nears the recursion limit
+    trigring._rungs.clear()
+    assert monomial_derivative(1, Trig.SIN, 5000) == TrigPoly({(0, 1): -5000}, {(1, 0): 1})
 
 
 def test_basic_derivatives():
