@@ -30,39 +30,52 @@ def falling_factorial(x: Rat, n: int) -> Rat:
 def binomial(x: Rat, k: int) -> Rat:
     """Binomial coefficient falling_factorial(x, k) / k! for rational x.
 
-    Integer x stays integer, including negative x: a product of k consecutive
-    integers is always divisible by k!.  For 0 <= x < k the value is 0.
+    Integer x stays integer, including negative x, through
+    C(x, k) = (-1)^k C(k - x - 1, k); for 0 <= x < k the value is 0.  For
+    x = p/q in lowest terms with q > 1 the numerator prod (p - i q) over
+    i < k runs on ints and one Fraction divides it by q^k k!; k = 0 gives
+    the int 1.
     """
     if k < 0:
         raise ValueError("binomial needs k >= 0")
     if isinstance(x, Fraction) and x.denominator == 1:
         x = int(x)
-    if isinstance(x, int) and x >= 0:
-        return math.comb(x, k)
-    ff = falling_factorial(x, k)
-    if isinstance(ff, int):
-        # a product of k consecutive integers is divisible by k!
-        return ff // math.factorial(k)
-    return ff / math.factorial(k)
+    if isinstance(x, int):
+        if x >= 0:
+            return math.comb(x, k)
+        return -math.comb(k - x - 1, k) if k % 2 else math.comb(k - x - 1, k)
+    if k == 0:
+        return 1
+    p, q = x.numerator, x.denominator
+    num = 1
+    for i in range(k):
+        num *= p - i * q
+    return Fraction(num, q ** k * math.factorial(k))
 
 
 def check_odd_binomial_sum(n: int, j: int) -> VerificationReport:
     """Check sum_{k=1}^{n} (-1/2)^(n-k) C(2j-1, k-1) C(2n-k-1, n-1)
-    against the closed form 2^(n-1) C(j-1, n-1), both sides exact."""
+    against the closed form 2^(n-1) C(j-1, n-1), both sides exact.
+
+    The sum runs on ints as 2^(1-n) sum (-1)^(n-k) 2^(k-1) C(..) C(..),
+    with one division at the end."""
     started = time.perf_counter()
     if n < 1 or j < 1:
         raise ValueError("check needs n >= 1 and j >= 1")
-    lhs = Fraction(0)
+    total = 0
     for k in range(1, n + 1):
-        lhs += (Fraction(-1, 2) ** (n - k)) * binomial(2 * j - 1, k - 1) * binomial(2 * n - k - 1, n - 1)
-    rhs = Fraction(2) ** (n - 1) * binomial(j - 1, n - 1)
+        term = 2 ** (k - 1) * binomial(2 * j - 1, k - 1) * binomial(2 * n - k - 1, n - 1)
+        total += -term if (n - k) % 2 else term
+    lhs = Fraction(total, 2 ** (n - 1))
+    rhs = 2 ** (n - 1) * binomial(j - 1, n - 1)
     return finish_report("odd-binomial-sum", {"n": n, "j": j}, rhs, lhs, started)
 
 
 def check_even_binomial_sum(n: int, j: int) -> VerificationReport:
     """Check the conjectural even-column analogue:
     sum_{k=1}^{n} (-1/2)^(n-k) C(2j, k-1) sum_{v=0}^{floor((n-k)/2)} C(2n-k+1, n+1+2v)
-    against 2^(n-1) C(j-1, n-1).
+    against 2^(n-1) C(j-1, n-1).  As in the odd sum, the integer numerators
+    over 2^(n-1) are added up and divided once.
 
     No general proof is known for this sum; each report records a single
     exact instance and says so in its note.
@@ -70,13 +83,15 @@ def check_even_binomial_sum(n: int, j: int) -> VerificationReport:
     started = time.perf_counter()
     if n < 1 or j < 1:
         raise ValueError("check needs n >= 1 and j >= 1")
-    lhs = Fraction(0)
+    total = 0
     for k in range(1, n + 1):
         inner = 0
         for v in range((n - k) // 2 + 1):
             inner += binomial(2 * n - k + 1, n + 1 + 2 * v)
-        lhs += (Fraction(-1, 2) ** (n - k)) * binomial(2 * j, k - 1) * inner
-    rhs = Fraction(2) ** (n - 1) * binomial(j - 1, n - 1)
+        term = 2 ** (k - 1) * binomial(2 * j, k - 1) * inner
+        total += -term if (n - k) % 2 else term
+    lhs = Fraction(total, 2 ** (n - 1))
+    rhs = 2 ** (n - 1) * binomial(j - 1, n - 1)
     return finish_report(
         "even-binomial-sum", {"n": n, "j": j}, rhs, lhs, started,
         note="empirical instance; the general statement is unproved",

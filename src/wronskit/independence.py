@@ -241,17 +241,15 @@ def scaled_coordinate_matrix(mat: ExactMatrix, n: int) -> ExactMatrix:
     size = 2 * n + 2
     if (mat.rows, mat.cols) != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix")
-    row_factors = []
+    col_signs = [-1 if ((2 * j + 1) // 4) % 2 else 1 for j in range(1, size + 1)]
+    out = []
     for i in range(1, size + 1):
         ff = falling_factorial(n, (2 * i - 1) // 4)
         if ff == 0:
             raise ValueError(f"zero scale factor at row {i}")
         sign = -1 if ((2 * i + 1) // 8) % 2 else 1
-        row_factors.append(Fraction(sign, ff))
-    col_factors = [-1 if ((2 * j + 1) // 4) % 2 else 1 for j in range(1, size + 1)]
-    return ExactMatrix([
-        [mat[i, j] * row_factors[i] * col_factors[j] for j in range(size)]
-        for i in range(size)])
+        out.append([Fraction(v * sign * c, ff) for v, c in zip(mat.row(i - 1), col_signs)])
+    return ExactMatrix(out)
 
 
 def binomial_pattern_matrix(n: int) -> ExactMatrix:

@@ -5,10 +5,16 @@ it costs those pairs rather than rows x cols x inner, one fraction-free
 rational matrices, a division-free determinant memoized over column subsets
 for TrigPoly entries, and the even/odd interleave split for checkerboard
 matrices.  Where TrigPoly entries meet, each product entry and each minor
-is one signed sum of products, reduced by TrigPoly.sum_of_products."""
+is one signed sum of products, reduced by TrigPoly.sum_of_products.
+
+Rational arithmetic runs on Python ints: each row of a matrix that holds a
+Fraction is scaled by the lcm of its denominators, the elimination and the
+product work on those integer rows, and one Fraction is built per result
+from the integer numerator over the product of the scales."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
@@ -73,7 +79,9 @@ class ExactMatrix:
         (i, k) of the left factor meets the nonzero entries v at (k, j) of the
         right one and adds e*v into entry (i, j).  The cost is the number of
         such nonzero pairs, not rows x cols x inner; an entry that gets no
-        term is the int 0."""
+        term is the int 0.  When a factor holds a Fraction, the pairs are
+        multiplied as ints (left rows scaled by their own lcms, the right
+        factor by one) and each entry becomes one Fraction."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self._cols != other._rows:
@@ -81,7 +89,8 @@ class ExactMatrix:
                 f"dimension mismatch: {self._rows}x{self._cols} @ {other._rows}x{other._cols}")
         right = [[(j, v) for j, v in enumerate(other.row(k)) if v] for k in range(other._rows)]
         out = []
-        if self._holds_ring() or other._holds_ring():
+        kinds = self._kinds() | other._kinds()
+        if TrigPoly in kinds:
             # ring entries: gather each output entry's pairs, reduce them once
             for i in range(self._rows):
                 pairs: list[list | None] = [None] * other._cols
@@ -95,37 +104,58 @@ class ExactMatrix:
                                 got.append((1, e, v))
                 out.append([0 if t is None else TrigPoly.sum_of_products(t) for t in pairs])
             return ExactMatrix(out)
-        for i in range(self._rows):
-            acc: list[Entry] = [None] * other._cols
-            for e, terms in zip(self.row(i), right):
-                if e:
-                    for j, v in terms:
-                        got = acc[j]
-                        acc[j] = e * v if got is None else got + e * v
-            out.append([0 if v is None else v for v in acc])
+        if Fraction not in kinds:
+            for acc in _row_sums(map(self.row, range(self._rows)), right, other._cols):
+                out.append([0 if v is None else v for v in acc])
+            return ExactMatrix(out)
+        # left row i is scaled to ints by scales[i], the whole right factor by one lcm
+        left, scales = self._integer_rows(True)
+        common = math.lcm(*[v.denominator for v in other._e])
+        right = [[(j, v.numerator * (common // v.denominator)) for j, v in terms] for terms in right]
+        for acc, scale in zip(_row_sums(left, right, other._cols), scales):
+            den = common * scale
+            out.append([0 if v is None else Fraction(v, den) for v in acc])
         return ExactMatrix(out)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(zip(*(self.row(i) for i in range(self._rows))))
 
-    def _holds_ring(self) -> bool:  # is an entry a TrigPoly: one C-level pass over the types
-        return TrigPoly in set(map(type, self._e))
+    def _kinds(self) -> set[type]:  # the entry types: one C-level pass
+        return set(map(type, self._e))
 
-    def _bareiss(self) -> tuple[int, Entry]:
-        """Fraction-free (Bareiss) elimination with exact division over the
-        rationals: (rank, determinant).  The determinant is 0 unless the
-        matrix is square and every column has a pivot.
+    def _integer_rows(self, rational: bool) -> tuple[list[list[int]], list[int] | None]:
+        """The rows as lists of ints, each scaled by the lcm of its entries'
+        denominators, and those per-row scales.  ``rational`` says whether
+        an entry may be a Fraction (the caller's type probe); if not, the
+        rows come back as they are, with no scales."""
+        rows = [list(self.row(i)) for i in range(self._rows)]
+        if not rational:
+            return rows, None
+        scales = [math.lcm(*[v.denominator for v in row]) for row in rows]
+        return [[v.numerator * (d // v.denominator) for v in row]
+                for row, d in zip(rows, scales)], scales
+
+    def _bareiss(self, rational: bool) -> tuple[int, Entry]:
+        """Fraction-free (Bareiss) elimination on the integer rows of
+        ``_integer_rows``: (rank, determinant).  Every division is an exact
+        integer ``//``, row swaps and pivot-less columns included: by
+        Sylvester's identity each eliminated entry is a minor of the scaled
+        matrix.  Scaling rows by nonzero ints keeps the rank and multiplies
+        the determinant by the product of the scales, so the determinant is
+        Fraction(sign * last pivot, product of the scales) for a matrix that
+        holds a Fraction and sign * last pivot, an int, otherwise.  It is 0
+        unless the matrix is square and every column has a pivot.
 
         Pivot choice: first nonzero entry in row order; each row swap flips
-        the determinant's sign.  On a nonsingular integer matrix every
-        division is exact, so its determinant comes out as an int.
+        the determinant's sign.
         """
-        m = [list(self.row(i)) for i in range(self._rows)]
-        prev: Entry = 1
+        m, scales = self._integer_rows(rational)
+        rows, cols = self._rows, self._cols
+        prev = 1
         sign = 1
         r = 0
-        for col in range(self._cols):
-            piv = next((i for i in range(r, self._rows) if m[i][col]), None)
+        for col in range(cols):
+            piv = next((i for i in range(r, rows) if m[i][col]), None)
             if piv is None:
                 continue
             if piv != r:
@@ -133,28 +163,28 @@ class ExactMatrix:
                 sign = -sign
             top = m[r]
             pivot = top[col]
-            for i in range(r + 1, self._rows):
+            rest = top[col + 1:]
+            for i in range(r + 1, rows):
                 row = m[i]
                 lead = row[col]
-                for j in range(col + 1, self._cols):
-                    num = pivot * row[j] - lead * top[j]
-                    if isinstance(num, int) and isinstance(prev, int):
-                        quot, rem = divmod(num, prev)
-                        row[j] = quot if not rem else Fraction(num, prev)
-                    else:
-                        row[j] = num / prev
-                row[col] = 0
+                row[col + 1:] = [(pivot * a - lead * b) // prev for a, b in zip(row[col + 1:], rest)]
             prev = pivot
             r += 1
-            if r == self._rows:
+            if r == rows:
                 break
-        return r, sign * prev if r == self._rows == self._cols else 0
+        if r != rows or r != cols:
+            return r, 0
+        if scales is None:
+            return r, sign * prev
+        return r, Fraction(sign * prev, math.prod(scales))
 
     def determinant(self) -> Entry:
         """Exact determinant of a square matrix.
 
         Integer and rational matrices go through the Bareiss elimination that
-        ``rank`` uses: O(n^3) exact operations, an int for an int matrix.  A
+        ``rank`` uses: O(n^3) operations on ints, each row of a rational
+        matrix first scaled to ints by the lcm of its denominators, and one
+        Fraction built at the end; an int for an int matrix.  A
         matrix with a TrigPoly entry takes the division-free expansion along
         the last row of each leading-rows submatrix, memoized over column
         subsets: O(n 2^n) ring operations instead of n! and no divisions.
@@ -163,8 +193,9 @@ class ExactMatrix:
         """
         if self._rows != self._cols:
             raise ValueError("determinant needs a square matrix")
-        if not self._holds_ring():
-            return self._bareiss()[1]
+        kinds = self._kinds()
+        if TrigPoly not in kinds:
+            return self._bareiss(Fraction in kinds)[1]
         n = self._rows
         flat = self._e
         memo: dict[int, Entry] = {}
@@ -197,9 +228,10 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank by the Bareiss elimination.  Entries must embed in the
         rationals; TrigPoly matrices have no rank here."""
-        if self._holds_ring():
+        kinds = self._kinds()
+        if TrigPoly in kinds:
             raise TypeError("rank needs integer or rational entries")
-        return self._bareiss()[0]
+        return self._bareiss(Fraction in kinds)[0]
 
     def interleave_split(self) -> tuple["ExactMatrix", "ExactMatrix"]:
         """Split a checkerboard matrix of even order 2m into its odd/odd and
@@ -241,6 +273,20 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self._rows}x{self._cols})"
+
+
+def _row_sums(left: Iterable[Iterable[Entry]], right: list[list[tuple[int, Entry]]],
+              cols: int) -> Iterable[list[Entry]]:
+    """Per left row, the sums of e*v over its nonzero entries e at k and the
+    nonzero (j, v) of right[k]; None where an entry gets no term."""
+    for row in left:
+        acc: list[Entry] = [None] * cols
+        for e, terms in zip(row, right):
+            if e:
+                for j, v in terms:
+                    got = acc[j]
+                    acc[j] = e * v if got is None else got + e * v
+        yield acc
 
 
 def first_difference(got: ExactMatrix, want: ExactMatrix) -> str:

@@ -85,7 +85,8 @@ def build(spec: MatrixSpec) -> ExactMatrix:
         _need_size(spec.n)
         return ExactMatrix.from_fn(
             spec.n, spec.n,
-            lambda i, j: Fraction(-1, 2) ** (i - j) * binomial(2 * i - j - 1, i - j) if j <= i else 0)
+            lambda i, j: Fraction((-1) ** (i - j) * binomial(2 * i - j - 1, i - j), 2 ** (i - j))
+            if j <= i else 0)
     if kind is MatrixKind.SCALED_PASCAL:
         _need_size(spec.n)
         return ExactMatrix.from_fn(spec.n, spec.n, lambda i, j: 2 ** (i - 1) * binomial(j - 1, i - 1))
@@ -105,14 +106,18 @@ def build(spec: MatrixSpec) -> ExactMatrix:
         _need_size(spec.n)
         if spec.a is None or spec.b is None:
             raise ValueError("binom-affine needs a and b")
-        return ExactMatrix.from_fn(spec.n, spec.n, lambda i, j: binomial(spec.a * j + spec.b, i - 1))
+        return _binomial_nodes_matrix([spec.a * j + spec.b for j in range(1, spec.n + 1)])
     if kind is MatrixKind.BINOM_NODES:
         if not spec.nodes:
             raise ValueError("binom-nodes needs a nonempty node tuple")
-        nodes = spec.nodes
-        size = len(nodes)
-        return ExactMatrix.from_fn(size, size, lambda i, j: binomial(nodes[j - 1], i - 1))
+        return _binomial_nodes_matrix(spec.nodes)
     raise ValueError(f"unknown matrix kind {kind!r}")
+
+
+def _binomial_nodes_matrix(nodes) -> ExactMatrix:
+    """The square matrix C(x_j, i-1) over the nodes x_1 .. x_size."""
+    size = len(nodes)
+    return ExactMatrix.from_fn(size, size, lambda i, j: binomial(nodes[j - 1], i - 1))
 
 
 def _need_size(n: int) -> None:
@@ -137,16 +142,20 @@ def det_closed_form(spec: MatrixSpec) -> Rat:
     if kind is MatrixKind.BINOM_AFFINE:
         return Fraction(spec.a) ** math.comb(spec.n, 2)
     if kind is MatrixKind.BINOM_NODES:
+        # every node as an int over one common denominator: each difference
+        # x_j - x_i is (ints[j] - ints[i]) / common
         nodes = spec.nodes
         size = len(nodes)
-        num = Fraction(1)
+        common = math.lcm(*[x.denominator for x in nodes])
+        ints = [x.numerator * (common // x.denominator) for x in nodes]
+        num = 1
         for i in range(size):
             for j in range(i + 1, size):
-                num *= Fraction(nodes[j]) - Fraction(nodes[i])
-        den = 1
+                num *= ints[j] - ints[i]
+        den = common ** math.comb(size, 2)
         for k in range(1, size):
             den *= math.factorial(k)
-        return num / den
+        return Fraction(num, den)
     raise ValueError(f"no determinant closed form for kind {kind.value}")
 
 

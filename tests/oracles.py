@@ -1,9 +1,10 @@
 """Independent oracles the tests check library results against.
 
 Everything here deliberately avoids the library's own algorithms: the
-determinant is a plain permutation sum, the matrix product a plain triple
-sum over every entry, zero or not, and derivatives are cross-checked by
-floating central differences.
+determinant is a plain permutation sum, the rank a row echelon form by
+Fraction division, the matrix product a plain triple sum over every entry,
+zero or not, the binomial sums add Fraction terms with math.comb, and
+derivatives are cross-checked by floating central differences.
 """
 
 from __future__ import annotations
@@ -32,6 +33,24 @@ def determinant_by_permutations(m: ExactMatrix):
             prod = prod * m[i, perm[i]]
         total = total + (prod if sign > 0 else -prod)
     return total
+
+
+def rank_by_elimination(m: ExactMatrix) -> int:
+    """Number of pivots of a row echelon form, each row reduced by dividing
+    Fractions."""
+    rows = [[Fraction(v) for v in m.row(i)] for i in range(m.rows)]
+    rank = 0
+    for col in range(m.cols):
+        piv = next((i for i in range(rank, m.rows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, m.rows):
+            factor = rows[i][col] / top[col]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
 def product_by_definition(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -118,3 +137,22 @@ def random_distinct_rationals(rng: Random, size: int) -> tuple[Fraction, ...]:
             seen.add(x)
             out.append(x)
     return tuple(out)
+
+
+def odd_binomial_sum_by_fractions(n: int, j: int) -> Fraction:
+    """sum_{k=1}^{n} (-1/2)^(n-k) C(2j-1, k-1) C(2n-k-1, n-1), term by term
+    in Fractions."""
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        total += Fraction(-1, 2) ** (n - k) * math.comb(2 * j - 1, k - 1) * math.comb(2 * n - k - 1, n - 1)
+    return total
+
+
+def even_binomial_sum_by_fractions(n: int, j: int) -> Fraction:
+    """sum_{k=1}^{n} (-1/2)^(n-k) C(2j, k-1) sum_v C(2n-k+1, n+1+2v), term by
+    term in Fractions."""
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        inner = sum(math.comb(2 * n - k + 1, n + 1 + 2 * v) for v in range((n - k) // 2 + 1))
+        total += Fraction(-1, 2) ** (n - k) * math.comb(2 * j, k - 1) * inner
+    return total

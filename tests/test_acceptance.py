@@ -4,6 +4,7 @@ Each test covers one guaranteed behaviour at its stated time budget and
 prints a single pass/fail line (run with ``pytest -s`` to see them).
 """
 
+import hashlib
 import json
 import math
 import random
@@ -111,6 +112,9 @@ def test_scaled_matrix_determinant_factorizes():
             assert rep.passed, rep.line()
             assert f"n(n+1) = {n * (n + 1)}" in rep.note
             assert "n(n-1)" in rep.note and "inconsistent" in rep.note
+        for n in range(13, 21):
+            rep = verify_full_rank(n)
+            assert rep.passed and rep.computed == f"rank {2 * n + 2}", rep.line()
 
 
 def test_odd_binomial_sum_identity():
@@ -146,12 +150,17 @@ def test_node_determinants():
             assert rep.passed, rep.line()
         repeated = det_identity(MatrixSpec(MatrixKind.BINOM_NODES, nodes=(2, 2, 6)))
         assert repeated.passed and repeated.expected == "0"
-        # 18 dense non-integer nodes: a rational determinant the column-subset
-        # expansion needs 2^18 minors for
+        # dense non-integer nodes, halves beside thirds: every entry is
+        # nonzero, so the Bareiss elimination on the scaled integer rows does
+        # its full O(n^3) work, at order 18 and at order 40
         dense = tuple(Fraction(k, 2) for k in range(1, 20, 2)) + tuple(
             Fraction(k, 3) for k in (1, 2, 4, 5, 7, 8, 10, 11))
         rep = det_identity(MatrixSpec(MatrixKind.BINOM_NODES, nodes=dense))
         assert len(dense) == 18 and rep.passed, rep.line()
+        dense = tuple(Fraction(k, 2) for k in range(1, 40, 2)) + tuple(
+            Fraction(k, 3) for k in range(1, 31) if k % 3)
+        rep = det_identity(MatrixSpec(MatrixKind.BINOM_NODES, nodes=dense))
+        assert len(set(dense)) == 40 and rep.passed, rep.line()
 
 
 def test_affine_determinants():
@@ -161,6 +170,8 @@ def test_affine_determinants():
                 for b in (-1, 0, 1, 2):
                     rep = det_identity(MatrixSpec(MatrixKind.BINOM_AFFINE, n=n, a=a, b=b))
                     assert rep.passed, rep.line()
+        rep = det_identity(MatrixSpec(MatrixKind.BINOM_AFFINE, n=40, a=Fraction(1, 2), b=1))
+        assert rep.passed and rep.expected == str(Fraction(1, 2 ** math.comb(40, 2))), rep.line()
 
 
 def test_wronskian_factorization():
@@ -287,3 +298,28 @@ def test_cli_end_to_end_determinism(tmp_path):
         assert outputs[0] == outputs[1]
         assert outputs[0]["aggregate"]["failed"] == 0
         assert outputs[0]["aggregate"]["total"] == outputs[0]["aggregate"]["passed"]
+
+
+# sha256 of the JSON report of `verify --suite identities,open-identity,
+# determinants,pascal,coords --max-n 10` (514 records), with every record's
+# "millis" and the aggregate "duration" removed, dumped with sorted keys.
+# It pins every rational report string, so a faster route through the
+# rational layers cannot change a report unnoticed.  Regenerate it only for
+# a deliberate change of the reports.
+GOLDEN_RATIONAL_REPORT_SHA256 = "9627e809e754283acfe0a32c7d2f8898f9fd11b6a76e86ab228800c3c9853492"
+
+
+def test_golden_rational_report_digest():
+    with criterion("golden-rational-report", 10.0):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wronskit", "verify", "--suite",
+             "identities,open-identity,determinants,pascal,coords", "--max-n", "10"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        for record in doc["records"]:
+            record.pop("millis", None)
+        doc["aggregate"].pop("duration", None)
+        assert len(doc["records"]) == 514
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == GOLDEN_RATIONAL_REPORT_SHA256

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from wronskit import (
     check_odd_binomial_sum,
     falling_factorial,
 )
+from oracles import even_binomial_sum_by_fractions, odd_binomial_sum_by_fractions
 
 rationals = st.fractions(max_denominator=8).filter(lambda f: abs(f) <= 20)
 
@@ -43,6 +45,14 @@ def test_binomial_integer_arguments_stay_integer():
     assert isinstance(binomial(-3, 4), int)
     assert isinstance(binomial(Fraction(6, 2), 2), int)
     assert isinstance(binomial(Fraction(1, 2), 0), int)
+    assert binomial(Fraction(1, 2), 0) == 1
+
+
+@given(rationals, st.integers(0, 10))
+def test_binomial_is_falling_factorial_over_factorial(x, k):
+    got = binomial(x, k)
+    assert got == falling_factorial(x, k) / math.factorial(k)
+    assert type(got) is (int if x.denominator == 1 or k == 0 else Fraction)
 
 
 def test_binomial_rejects_negative_k():
@@ -68,6 +78,15 @@ def test_odd_binomial_sum_sweep():
     for n in range(1, 13):
         for j in range(1, 13):
             assert check_odd_binomial_sum(n, j).passed
+
+
+def test_binomial_sums_match_fraction_oracles():
+    # the checkers add integer numerators over 2^(n-1); the oracles add
+    # (-1/2)^(n-k) terms one Fraction at a time
+    for n in range(1, 17):
+        for j in range(1, 17):
+            assert check_odd_binomial_sum(n, j).computed == str(odd_binomial_sum_by_fractions(n, j))
+            assert check_even_binomial_sum(n, j).computed == str(even_binomial_sum_by_fractions(n, j))
 
 
 def test_even_binomial_sum_instances():

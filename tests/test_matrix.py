@@ -8,6 +8,7 @@ from wronskit import ExactMatrix, Trig, TrigPoly, basis_element, first_differenc
 from oracles import (
     determinant_by_permutations,
     product_by_definition,
+    rank_by_elimination,
     random_checkerboard,
     random_int_matrix,
     random_rational_matrix,
@@ -154,6 +155,85 @@ def test_determinant_matches_permutation_oracle():
                     assert not integer or type(det) is int
                     singular += det == 0
     assert singular >= 3 * 18
+
+
+# Rows of one kind each: ints, integer-valued Fractions, or Fractions whose
+# denominators differ across the matrix (1/97 beside 1/2), so the integer
+# core meets rows with different scales.
+ROW_ENTRIES = {
+    "int": st.integers(-6, 6),
+    "integral": st.integers(-6, 6).map(Fraction),
+    "rational": st.builds(Fraction, st.integers(-6, 6), st.sampled_from((2, 3, 97))),
+    "mixed": st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.sampled_from((2, 97)))),
+}
+
+
+def _rows(height: int, width: int):
+    row = st.sampled_from(sorted(ROW_ENTRIES)).flatmap(
+        lambda kind: st.lists(ROW_ENTRIES[kind], min_size=width, max_size=width))
+    return st.lists(row, min_size=height, max_size=height)
+
+
+def _deficient(rows: list, blank: int) -> ExactMatrix:
+    """The rows with column ``blank`` zeroed (no pivot there) and the last
+    row replaced by the first plus half the second, so the rank falls."""
+    rows = [[0 if j == blank else v for j, v in enumerate(r)] for r in rows]
+    if len(rows) > 2:
+        rows[-1] = [a + Fraction(1, 2) * b for a, b in zip(rows[0], rows[1])]
+    return ExactMatrix(rows)
+
+
+def _exact_matrices(square: bool):
+    shapes = (st.integers(1, 5).map(lambda n: (n, n)) if square
+              else st.tuples(st.integers(1, 5), st.integers(1, 6)))
+    return shapes.flatmap(lambda hw: st.tuples(_rows(*hw), st.integers(0, hw[1] - 1), st.booleans())).map(
+        lambda t: _deficient(t[0], t[1]) if t[2] else ExactMatrix(t[0]))
+
+
+def _all_int(m: ExactMatrix) -> bool:
+    return all(type(v) is int for i in range(m.rows) for v in m.row(i))
+
+
+@given(_exact_matrices(square=True))
+@settings(deadline=None, max_examples=150)
+def test_integer_core_determinant_matches_oracle(m):
+    det, want = m.determinant(), determinant_by_permutations(m)
+    assert det == want and str(det) == str(want), m.pretty()
+    if _all_int(m):
+        assert type(det) is int
+
+
+@given(_exact_matrices(square=False))
+@settings(deadline=None, max_examples=150)
+def test_integer_core_rank_matches_oracle(m):
+    assert m.rank() == rank_by_elimination(m), m.pretty()
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(_rows(s[0], s[1]), _rows(s[1], s[2]), st.integers(0, s[1] - 1))))
+@settings(deadline=None, max_examples=150)
+def test_integer_core_product_matches_oracle(factors):
+    left_rows, right_rows, blank = factors
+    # zero one inner index in the left factor, so some entries may get no term
+    a = ExactMatrix([[0 if k == blank else v for k, v in enumerate(r)] for r in left_rows])
+    b = ExactMatrix(right_rows)
+    got, want = a @ b, product_by_definition(a, b)
+    for i in range(got.rows):
+        for j in range(got.cols):
+            assert got[i, j] == want[i, j] and str(got[i, j]) == str(want[i, j]), (i, j)
+            if all(not a[i, k] or not b[k, j] for k in range(a.cols)):
+                assert type(got[i, j]) is int and got[i, j] == 0
+    if _all_int(a) and _all_int(b):
+        assert _all_int(got)
+
+
+def test_integer_core_different_denominators():
+    m = ExactMatrix([[Fraction(1, 97), Fraction(1, 2)], [Fraction(3, 2), Fraction(5, 97)]])
+    assert m.determinant() == Fraction(5, 97 * 97) - Fraction(3, 4) == determinant_by_permutations(m)
+    assert m.rank() == 2
+    integral = ExactMatrix([[Fraction(2), Fraction(1)], [Fraction(4), Fraction(3)]])
+    det = integral.determinant()
+    assert det == 2 and str(det) == "2"
 
 
 def test_determinant_over_trig_ring():
