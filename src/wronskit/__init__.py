@@ -50,7 +50,6 @@ from .trigring import (
     TrigPoly,
     basis_element,
     differentiate,
-    eval_at_zero,
     harmonic_step,
     is_constant,
     ladder_rung,
@@ -79,7 +78,6 @@ __all__ = [
     "det_identity",
     "differentiate",
     "double_shift_matrix",
-    "eval_at_zero",
     "falling_factorial",
     "first_difference",
     "harmonic_step",

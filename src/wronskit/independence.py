@@ -5,7 +5,9 @@ The symbolic route takes Wronskian determinants exactly over the trig quotient
 ring after the paper's transformation: conjugation by the stacked double-shift
 product S keeps the determinant and sorts the entries onto the (D^2+1)-ladder,
 whose rungs from (D^2+1)^(n+1) f on vanish; the ladder's entries are cached
-rungs (trigring.ladder_rung) and the ring product S W S^T is its reference.
+rungs (trigring.ladder_rung).  The ladder's reference is S W S^T taken via W's
+Hankel structure (matrix.conjugate_hankel), from derivatives of f alone and
+never from a rung, so the ladder and its witness stay independent.
 The coordinate route expresses the derivatives in an integer basis and
 settles independence by exact rank.
 Both routes are kept separate on purpose so each can confirm the other.
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import binomial, falling_factorial
-from .matrix import Entry, ExactMatrix, first_difference
+from .matrix import Entry, ExactMatrix, conjugate_hankel, first_difference
 from .report import VerificationReport, finish_report
 from .structured import double_shift_matrix, pascal_product
 from .trigring import (
@@ -74,11 +76,11 @@ def _double_shift_stack(size: int) -> tuple[ExactMatrix, str]:
 
 
 def conjugated_wronskian(spec: ChainSpec) -> ExactMatrix:
-    """S W S^T multiplied out over the ring for the Wronskian matrix W of the chain:
-    the reference for ladder_wronskian.  S is unit lower triangular, so the
-    determinant is W's."""
-    stack = _double_shift_stack(spec.count)[0]
-    return stack @ wronskian_hankel(spec) @ stack.transpose()
+    """S W S^T for the Wronskian matrix W of the chain, by conjugate_hankel
+    over W's Hankel values D^(shift+t) f: the reference for ladder_wronskian.
+    S is unit lower triangular, so the determinant is W's."""
+    h = [monomial_derivative(spec.n, spec.kind, spec.shift + t) for t in range(2 * spec.count - 1)]
+    return conjugate_hankel(_double_shift_stack(spec.count)[0], h)
 
 
 def ladder_wronskian(spec: ChainSpec) -> ExactMatrix:
@@ -136,8 +138,8 @@ def verify_dependence(n: int, kind: Trig = Trig.SIN) -> VerificationReport:
 
 def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Trig.SIN) -> VerificationReport:
     """Conjugating the even-derivative Hankel grid by the stacked row-shift
-    product must regrade it into the (D^2+1)-ladder grid, entry for entry,
-    preserving the determinant.
+    product (conjugate_hankel) must regrade it into the (D^2+1)-ladder grid,
+    entry for entry, preserving the determinant.
 
     Grid: (steps+1) x (steps+1) with entry (i, j) = D^(shift + 2(i+j-2)) f.
     After conjugation entry (i, j) must be D^shift (D^2+1)^(i+j-2) f.  This is
@@ -147,11 +149,9 @@ def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Tr
     if steps < 1 or shift < 0 or n < 0:
         raise ValueError("transform needs steps >= 1, shift >= 0, n >= 0")
     size = steps + 1
-    grid = ExactMatrix([
-        [monomial_derivative(n, kind, shift + 2 * (i + j)) for j in range(size)]
-        for i in range(size)])
-    stack = pascal_product(size)
-    conj = stack @ grid @ stack.transpose()
+    h = [monomial_derivative(n, kind, shift + 2 * t) for t in range(2 * size - 1)]
+    grid = ExactMatrix([[h[i + j] for j in range(size)] for i in range(size)])
+    conj = conjugate_hankel(pascal_product(size), h)
     target = ExactMatrix([[ladder_rung(n, kind, shift, i + j) for j in range(size)]
                           for i in range(size)])
     params = {"steps": steps, "shift": shift, "n": n, "kind": kind.value}
@@ -166,8 +166,8 @@ def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Tr
 
 def verify_wronskian_transform(n: int, kind: Trig = Trig.SIN) -> VerificationReport:
     """Conjugating the full 2n x 2n Wronskian matrix of f = x^n trig by the
-    stacked double-shift product, multiplied out over the ring, must sort every
-    entry onto the (D^2+1)-ladder of ladder_wronskian."""
+    stacked double-shift product (conjugated_wronskian) must sort every entry
+    onto the (D^2+1)-ladder of ladder_wronskian."""
     started = time.perf_counter()
     if n < 1:
         raise ValueError("transform needs n >= 1")

@@ -1,11 +1,13 @@
 """Immutable matrices over the exact rings used here (int, Fraction,
-TrigPoly), stored densely: a product that multiplies only nonzero pairs, so
-it costs those pairs rather than rows x cols x inner, one fraction-free
-(Bareiss) elimination for the rank and the determinant of integer and
-rational matrices, a division-free determinant memoized over column subsets
-for TrigPoly entries, and the even/odd interleave split for checkerboard
-matrices.  Where TrigPoly entries meet, each product entry and each minor
-is one signed sum of products, reduced by TrigPoly.sum_of_products.
+TrigPoly), stored densely: a product over Z and Q that multiplies only
+nonzero pairs, so it costs those pairs rather than rows x cols x inner, one
+fraction-free (Bareiss) elimination for the rank and the determinant of
+integer and rational matrices, a division-free determinant memoized over
+column subsets for TrigPoly entries, the even/odd interleave split for
+checkerboard matrices, and the conjugation S H S^T of a Hankel matrix H by a
+nonnegative integer matrix S.  Where TrigPoly entries meet, each minor and
+each entry of a Hankel conjugation is one signed sum of products, reduced by
+TrigPoly.sum_of_products; TrigPoly matrices are never multiplied.
 
 Rational arithmetic runs on Python ints: each row of a matrix that holds a
 Fraction is scaled by the lcm of its denominators, the elimination and the
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .trigring import TrigPoly
 
@@ -81,29 +83,19 @@ class ExactMatrix:
         such nonzero pairs, not rows x cols x inner; an entry that gets no
         term is the int 0.  When a factor holds a Fraction, the pairs are
         multiplied as ints (left rows scaled by their own lcms, the right
-        factor by one) and each entry becomes one Fraction."""
+        factor by one) and each entry becomes one Fraction.  Entries must
+        embed in the rationals: a TrigPoly operand raises TypeError, as in
+        ``rank``; ``conjugate_hankel`` covers the ring's one product."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self._cols != other._rows:
             raise ValueError(
                 f"dimension mismatch: {self._rows}x{self._cols} @ {other._rows}x{other._cols}")
-        right = [[(j, v) for j, v in enumerate(other.row(k)) if v] for k in range(other._rows)]
-        out = []
         kinds = self._kinds() | other._kinds()
         if TrigPoly in kinds:
-            # ring entries: gather each output entry's pairs, reduce them once
-            for i in range(self._rows):
-                pairs: list[list | None] = [None] * other._cols
-                for e, terms in zip(self.row(i), right):
-                    if e:
-                        for j, v in terms:
-                            got = pairs[j]
-                            if got is None:
-                                pairs[j] = [(1, e, v)]
-                            else:
-                                got.append((1, e, v))
-                out.append([0 if t is None else TrigPoly.sum_of_products(t) for t in pairs])
-            return ExactMatrix(out)
+            raise TypeError("matrix products need integer or rational entries")
+        right = [[(j, v) for j, v in enumerate(other.row(k)) if v] for k in range(other._rows)]
+        out = []
         if Fraction not in kinds:
             for acc in _row_sums(map(self.row, range(self._rows)), right, other._cols):
                 out.append([0 if v is None else v for v in acc])
@@ -287,6 +279,42 @@ def _row_sums(left: Iterable[Iterable[Entry]], right: list[list[tuple[int, Entry
                     got = acc[j]
                     acc[j] = e * v if got is None else got + e * v
         yield acc
+
+
+def conjugate_hankel(stack: ExactMatrix, h: Sequence[Entry]) -> ExactMatrix:
+    """S H S^T for a matrix S of nonnegative ints with k columns and the
+    k x k Hankel matrix H of the 2k-1 values h, H[a, b] = h[a + b] (0-indexed).
+
+    Entry (i, j) is sum_t (s_i * s_j)_t h[t], where s_i * s_j is the
+    convolution of rows i and j of S.  Each row is packed into one int, entry
+    a in the w-bit slot a (Kronecker substitution), so every convolution is
+    one int product.  A convolution coefficient is at most the product of
+    the two row sums, below 2^w for w = 2 * (bit length of the largest row
+    sum), so no slot carries into the next.  Entries with the same packed
+    product share one TrigPoly.sum_of_products over (coefficient, h[t]).
+    """
+    k = stack.cols
+    if len(h) != 2 * k - 1:
+        raise ValueError(f"a Hankel matrix of order {k} needs {2 * k - 1} values, got {len(h)}")
+    if stack._kinds() != {int} or min(stack._e) < 0:
+        raise ValueError("Hankel conjugation needs a matrix of nonnegative ints")
+    rows = [stack.row(i) for i in range(stack.rows)]
+    width = 2 * max(map(sum, rows)).bit_length()
+    mask = (1 << width) - 1
+    packed = [sum(v << (a * width) for a, v in enumerate(row)) for row in rows]
+    memo: dict[int, Entry] = {}
+    out = []
+    for a in packed:
+        line = []
+        for b in packed:
+            prod = a * b
+            got = memo.get(prod)
+            if got is None:
+                coeffs = ((prod >> (t * width)) & mask for t in range(len(h)))
+                memo[prod] = got = TrigPoly.sum_of_products((c, v, 1) for c, v in zip(coeffs, h) if c)
+            line.append(got)
+        out.append(line)
+    return ExactMatrix(out)
 
 
 def first_difference(got: ExactMatrix, want: ExactMatrix) -> str:

@@ -206,7 +206,8 @@ def verify_pascal_product(n: int) -> VerificationReport:
 def verify_row_shift(a: ExactMatrix, k: int) -> VerificationReport:
     """Left multiplication by the row-shift matrix must add each original row
     to the one below it from row k+1 down; right multiplication by its
-    transpose must do the same for columns."""
+    transpose must do the same for columns.  ``a`` holds ints or Fractions,
+    as every matrix product does."""
     started = time.perf_counter()
     if a.rows != a.cols:
         raise ValueError("row-shift check needs a square matrix")

@@ -15,9 +15,9 @@ operations build their results clean and wrap them as they are.
 
 Every product of two elements goes through one kernel,
 ``TrigPoly.sum_of_products``: it accumulates a whole signed sum of products
-into one pair of term dicts, so a determinant's cofactor expansion or a
-matrix product's entry builds no intermediate product and copies no partial
-sum.
+into one pair of term dicts, so a determinant's cofactor expansion or an
+entry of a Hankel conjugation (matrix.conjugate_hankel) builds no
+intermediate product and copies no partial sum.
 
 Every derivative and (D^2+1)-ladder rung of x^n trig comes from one rung
 table that loops fill, to any depth, once per process; a miss fills it under
@@ -161,8 +161,10 @@ class TrigPoly:
     @staticmethod
     def sum_of_products(terms: Iterable[tuple[Coeff, TrigPoly | Coeff, TrigPoly | Coeff]]) -> TrigPoly:
         """The sum of k * u * v over the (k, u, v) terms, with k an int or
-        Fraction (a sign, as a rule) and u, v each a TrigPoly, int or Fraction.
-        An empty sum is zero.
+        Fraction and u, v each a TrigPoly, int or Fraction.  An empty sum is
+        zero.  A determinant's minor passes signs as k and two entries; an
+        entry of a Hankel conjugation passes each convolution coefficient as
+        k, one Hankel value and the int 1.
 
         Every product is added straight into one p dict and one q dict, using
         (p1 + s q1)(p2 + s q2) = p1 p2 + (1 - c^2) q1 q2 + s (p1 q2 + q1 p2),
@@ -291,11 +293,6 @@ def differentiate(u: TrigPoly) -> TrigPoly:
 def harmonic_step(u: TrigPoly) -> TrigPoly:
     """Apply D^2 + 1, the operator whose powers annihilate x^n sin x, x^n cos x."""
     return differentiate(differentiate(u)) + u
-
-
-def eval_at_zero(u: TrigPoly) -> Coeff:
-    """Exact value at x = 0, i.e. substitute x = 0, s = 0, c = 1."""
-    return sum(v for (xd, _cd), v in u._p.items() if xd == 0)
 
 
 def is_constant(u: TrigPoly) -> Coeff | None:

@@ -27,7 +27,6 @@ from wronskit import (
     coordinate_matrix,
     det_identity,
     differentiate,
-    eval_at_zero,
     harmonic_step,
     is_constant,
     ladder_wronskian,
@@ -45,6 +44,7 @@ from wronskit import (
 from oracles import (
     central_difference,
     determinant_by_permutations,
+    eval_exact,
     eval_float,
     random_distinct_rationals,
     random_trigpoly,
@@ -244,10 +244,12 @@ def test_hankel_and_wronskian_transforms():
 
 
 def test_reference_witnesses():
-    # the literal S W S^T at order 24, and a 9 x 9 even-Hankel grid conjugated
-    # with both determinants taken by the subset DP over the ring
+    # the literal S W S^T at orders 24 and 60 (slots of about 60 bits), and a
+    # 9 x 9 even-Hankel grid conjugated with both determinants taken by the
+    # subset DP over the ring
     with criterion("reference-witnesses", 10.0):
         for rep in (verify_wronskian_transform(12), verify_wronskian_transform(12, Trig.COS),
+                    verify_wronskian_transform(30), verify_wronskian_transform(30, Trig.COS),
                     verify_even_hankel_transform(8, 2, 8, Trig.COS)):
             assert rep.passed and rep.computed == "ok", rep.line()
 
@@ -266,10 +268,11 @@ def test_ring_correctness():
                     assert u != 0
                     u = harmonic_step(u)
                 assert u == 0
+        at_zero = (Fraction(0), Fraction(0), Fraction(1))  # x = 0, s = 0, c = 1
         for n in range(0, 7):
             for k in range(n + 1):
-                assert eval_at_zero(monomial_derivative(n, Trig.SIN, k)) == 0
-            assert eval_at_zero(monomial_derivative(n, Trig.SIN, n + 1)) == math.factorial(n + 1)
+                assert eval_exact(monomial_derivative(n, Trig.SIN, k), *at_zero) == 0
+            assert eval_exact(monomial_derivative(n, Trig.SIN, n + 1), *at_zero) == math.factorial(n + 1)
         rng = random.Random(20260817)
         for _ in range(20):
             u = random_trigpoly(rng)
@@ -300,26 +303,37 @@ def test_cli_end_to_end_determinism(tmp_path):
         assert outputs[0]["aggregate"]["total"] == outputs[0]["aggregate"]["passed"]
 
 
-# sha256 of the JSON report of `verify --suite identities,open-identity,
-# determinants,pascal,coords --max-n 10` (514 records), with every record's
-# "millis" and the aggregate "duration" removed, dumped with sorted keys.
-# It pins every rational report string, so a faster route through the
-# rational layers cannot change a report unnoticed.  Regenerate it only for
-# a deliberate change of the reports.
+def _stripped_report_digest(suites: str, max_n: str, records: int) -> str:
+    """sha256 of the JSON report of `verify --suite <suites> --max-n <max_n>`,
+    with every record's "millis" and the aggregate "duration" removed,
+    dumped with sorted keys; the report must hold ``records`` records."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "wronskit", "verify", "--suite", suites, "--max-n", max_n],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    for record in doc["records"]:
+        record.pop("millis", None)
+    doc["aggregate"].pop("duration", None)
+    assert len(doc["records"]) == records
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+# The digests pin every report string, so a faster route through the
+# rational layers or the symbolic witnesses cannot change a report
+# unnoticed.  Regenerate one only for a deliberate change of the reports.
+# `verify --suite identities,open-identity,determinants,pascal,coords --max-n 10`
 GOLDEN_RATIONAL_REPORT_SHA256 = "9627e809e754283acfe0a32c7d2f8898f9fd11b6a76e86ab228800c3c9853492"
+# `verify --suite wronskian --max-n 12`
+GOLDEN_WRONSKIAN_REPORT_SHA256 = "3e1687ea47e79ed5e4dbe1eaeb75e50671186b19e52366ce82d7c8ee38c4db1f"
 
 
 def test_golden_rational_report_digest():
     with criterion("golden-rational-report", 10.0):
-        proc = subprocess.run(
-            [sys.executable, "-m", "wronskit", "verify", "--suite",
-             "identities,open-identity,determinants,pascal,coords", "--max-n", "10"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        doc = json.loads(proc.stdout)
-        for record in doc["records"]:
-            record.pop("millis", None)
-        doc["aggregate"].pop("duration", None)
-        assert len(doc["records"]) == 514
-        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        digest = _stripped_report_digest("identities,open-identity,determinants,pascal,coords", "10", 514)
         assert digest == GOLDEN_RATIONAL_REPORT_SHA256
+
+
+def test_golden_wronskian_report_digest():
+    with criterion("golden-wronskian-report", 10.0):
+        assert _stripped_report_digest("wronskian", "12", 344) == GOLDEN_WRONSKIAN_REPORT_SHA256

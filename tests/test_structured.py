@@ -7,8 +7,6 @@ from wronskit import (
     ExactMatrix,
     MatrixKind,
     MatrixSpec,
-    Trig,
-    basis_element,
     build,
     det_closed_form,
     det_identity,
@@ -40,13 +38,6 @@ def test_row_shift_adds_original_rows_not_running_sums():
     assert r1 @ a == ExactMatrix([[1, 0], [1, 1]])
     b = ExactMatrix([[1], [10], [100]])
     assert row_shift_matrix(3, 1) @ b == ExactMatrix([[1], [11], [110]])
-
-
-def test_row_shift_action_over_trig_ring():
-    s = basis_element(0, Trig.SIN)
-    c = basis_element(0, Trig.COS)
-    a = ExactMatrix([[s, c], [c, s]])
-    assert verify_row_shift(a, 1).passed
 
 
 def test_row_shift_domain():

@@ -6,14 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wronskit import (
-    ChainSpec,
     ExactMatrix,
     Trig,
     TrigPoly,
     basis_element,
-    conjugated_wronskian,
     differentiate,
-    eval_at_zero,
     harmonic_step,
     is_constant,
     monomial_derivative,
@@ -69,11 +66,12 @@ def test_constants_hash_as_their_value():
         assert len({c, v}) == 1
     assert len({TrigPoly.zero(), 0, Fraction(0)}) == 1
     assert hash(S * S + C * C) == hash(1)
-    # a product leaves the int 0 where no term lands; equal matrices hash alike
-    conj = conjugated_wronskian(ChainSpec(0, 0, Trig.SIN, 3))
-    assert conj.row(2) == (0, 0, 0) and {type(v) for v in conj.row(2)} == {int}
-    rebuilt = ExactMatrix([[TrigPoly.zero() + v for v in conj.row(i)] for i in range(conj.rows)])
-    assert conj == rebuilt and hash(conj) == hash(rebuilt)
+    # a matrix that holds the int 0 equals and hashes as one holding TrigPoly.zero()
+    mixed = ExactMatrix([[S, 0], [0, TrigPoly.constant(2)]])
+    assert {type(v) for v in mixed.row(1)} == {int, TrigPoly}
+    rebuilt = ExactMatrix([[TrigPoly.zero() + v for v in mixed.row(i)] for i in range(mixed.rows)])
+    assert {type(v) for i in range(2) for v in rebuilt.row(i)} == {TrigPoly}
+    assert mixed == rebuilt and hash(mixed) == hash(rebuilt)
 
 
 def test_derivative_chain_of_x_sin_x():
@@ -115,15 +113,11 @@ def test_annihilation_and_nonvanishing():
 
 
 def test_initial_conditions():
+    at_zero = (Fraction(0), Fraction(0), Fraction(1))  # x = 0, s = 0, c = 1
     for n in range(0, 7):
         for k in range(n + 1):
-            assert eval_at_zero(monomial_derivative(n, Trig.SIN, k)) == 0
-    assert eval_at_zero(monomial_derivative(1, Trig.SIN, 2)) == 2
-
-
-def test_eval_at_zero_uses_cos_equal_one():
-    u = TrigPoly({(0, 3): Fraction(1, 2), (0, 0): 1, (2, 1): 9}, {(0, 0): 4})
-    assert eval_at_zero(u) == Fraction(3, 2)
+            assert eval_exact(monomial_derivative(n, Trig.SIN, k), *at_zero) == 0
+    assert eval_exact(monomial_derivative(1, Trig.SIN, 2), *at_zero) == 2
 
 
 def test_is_constant():
