@@ -358,14 +358,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_wronskian(args: argparse.Namespace) -> int:
-    if args.n < 0 or args.shift < 0:
-        print("configuration error: n and shift must be >= 0", file=sys.stderr)
-        return 2
     count = args.count if args.count is not None else 2 * args.n + 2
-    if count < 1:
-        print("configuration error: count must be >= 1", file=sys.stderr)
+    try:
+        spec = ChainSpec(n=args.n, shift=args.shift, kind=Trig(args.kind), count=count)
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    spec = ChainSpec(n=args.n, shift=args.shift, kind=Trig(args.kind), count=count)
     if args.print_matrix:
         print(wronskian_hankel(spec).pretty())
     det = ladder_wronskian(spec).determinant()

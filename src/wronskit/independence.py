@@ -4,10 +4,12 @@ x^n sin x and x^n cos x.
 The symbolic route takes Wronskian determinants exactly over the trig quotient
 ring after the paper's transformation: conjugation by the stacked double-shift
 product S keeps the determinant and sorts the entries onto the (D^2+1)-ladder,
-whose rungs from (D^2+1)^(n+1) f on vanish; the ladder's entries are cached
-rungs (trigring.ladder_rung).  The ladder's reference is S W S^T taken via W's
-Hankel structure (matrix.conjugate_hankel), from derivatives of f alone and
-never from a rung, so the ladder and its witness stay independent.
+whose rungs from (D^2+1)^(n+1) f on vanish; its entries are closed-form rungs
+(trigring.ladder_rung).  Its reference S W S^T, taken via W's Hankel structure
+(matrix.conjugate_hankel), reads only k = 0 rungs, the plain derivatives of f,
+and reaches the ladder through S alone, so it tests the closed form's
+D^k (D+2i)^k factor; the k = 0 part is pinned by verify_basis_columns (the
+paper's coordinate closed form) and by the ring tests.
 The coordinate route expresses the derivatives in an integer basis and
 settles independence by exact rank.
 Both routes are kept separate on purpose so each can confirm the other.

@@ -9,7 +9,7 @@ every power of s above the first, so each element has a unique canonical form
 and equality is coefficient comparison.  The ring is an integral domain
 (the relation is irreducible), hence a product is zero only if a factor is.
 Elements are immutable; all operations return fresh values, which keeps
-them safe to share across threads and in the rung table.  Term dicts from
+them safe to share across threads and in the rung cache.  Term dicts from
 outside are cleaned of zero coefficients once, in the constructor; the ring
 operations build their results clean and wrap them as they are.
 
@@ -19,16 +19,17 @@ into one pair of term dicts, so a determinant's cofactor expansion or an
 entry of a Hankel conjugation (matrix.conjugate_hankel) builds no
 intermediate product and copies no partial sum.
 
-Every derivative and (D^2+1)-ladder rung of x^n trig comes from one rung
-table that loops fill, to any depth, once per process; a miss fills it under
-one lock, since concurrent fills would put rungs in each other's slots.
+Every derivative and (D^2+1)-ladder rung of x^n trig has a closed form
+(ladder_rung), tested against differentiate and harmonic_step, the ring's own
+rules; no order below the requested one is computed or kept.
 """
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, perm
 from types import MappingProxyType
 from typing import Iterable
 
@@ -307,41 +308,39 @@ def is_constant(u: TrigPoly) -> Coeff | None:
 
 
 def monomial_derivative(power: int, kind: Trig, order: int) -> TrigPoly:
-    """order-th derivative of x^power * sin x (or cos x): the k = 0 row of the
-    rung table.  The whole derivative family lives in
-    span{x^i sin x, x^i cos x : i <= power}, so results stay small."""
+    """order-th derivative of x^power * sin x (or cos x): the k = 0 rung.
+    The whole derivative family lives in span{x^i sin x, x^i cos x : i <= power},
+    so results stay small whatever the order."""
     return ladder_rung(power, kind, order, 0)
 
 
-# (power, kind) -> rows, rows[k][order] = D^order (D^2+1)^k (x^power trig).
-# Lists only grow, by appends made under _rungs_lock, so an index that is
-# present always holds its final rung and a read needs no lock.
-_rungs: dict[tuple[int, Trig], list[list[TrigPoly]]] = {}
-_rungs_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def ladder_rung(power: int, kind: Trig, order: int, k: int) -> TrigPoly:
     """D^order (D^2+1)^k (x^power * sin x or cos x): one rung of the
-    (D^2+1)-ladder, read from the table by every ladder consumer.
+    (D^2+1)-ladder, in closed form.
 
-    A miss fills rows by loops: order 0 of row k is D^2 + D^0 of row k - 1,
-    each higher order one differentiate, so a whole ladder costs one ring
-    operation per new (order, k).  From k = power + 1 on every rung is zero.
+    With the trig factor written as e^(ix), the exponential-shift rule
+    P(D)(e^(ix) u) = e^(ix) P(D+i) u and (D+i)^2 + 1 = D (D+2i) make the rung
+    e^(ix) (D+i)^order D^k (D+2i)^k x^power.  The pair (j, b) with
+    m = k+j+b <= power adds C(k,j) 2^(k-j) C(order,b) power!/(power-m)! to
+    x^(power-m), turned by i^(order+2k-m): each i turns sin a quarter period on,
+    through sin, cos, -sin, -cos (cos is sin turned once).  k > power gives
+    zero; order enters only through math.comb, so only power sets the cost.
     """
-    if order < 0 or k < 0:
-        raise ValueError("ladder rung needs order >= 0 and k >= 0")
-    try:
-        return _rungs[power, kind][k][order]
-    except (KeyError, IndexError):
-        pass
-    with _rungs_lock:
-        rows = _rungs.setdefault((power, kind), [[basis_element(power, kind)]])
-        while len(rows) <= k:
-            below = rows[-1]
-            while len(below) < 3:
-                below.append(differentiate(below[-1]))
-            rows.append([below[2] + below[0]])
-        row = rows[k]
-        while len(row) <= order:
-            row.append(differentiate(row[-1]))
-        return row[order]
+    if power < 0 or order < 0 or k < 0:
+        raise ValueError("ladder rung needs power >= 0, order >= 0 and k >= 0")
+    if k > power:
+        return TrigPoly()
+    # w[t] = sum over j + b = t of C(k,j) 2^(k-j) C(order,b): the coefficients of
+    # (z+1)^order (z+2)^k below z^(power-k+1), all positive, as t <= order + k
+    w = [comb(order, t) for t in range(min(power - k, order + k) + 1)]
+    for _ in range(k):
+        w = [2 * v + u for v, u in zip(w, [0, *w])]  # times z + 2
+    p: Terms = {}
+    q: Terms = {}
+    turn = order + k + (kind is Trig.COS)  # quarter turns at m = k, one more for cos
+    for t, v in enumerate(w):
+        v *= perm(power, k + t)
+        r = (turn - t) & 3  # 0 sin, 1 cos, 2 -sin, 3 -cos
+        (p if r & 1 else q)[power - k - t, r & 1] = -v if r & 2 else v
+    return TrigPoly._of(p, q)

@@ -224,9 +224,30 @@ def test_ladder_determinants_past_the_digit_limit():
             for spec, want in ((ChainSpec(n, 2, Trig.COS, 2 * n + 2),
                                 (-1) ** (n + 1) * (2 ** n * math.factorial(n)) ** (2 * n + 2)),
                                (ChainSpec(n, 0, Trig.SIN, 2 * n + 3), 0)):
-                trigring._rungs.clear()
+                trigring.ladder_rung.cache_clear()
                 det = ladder_wronskian(spec).determinant()
                 assert det == want, spec
+
+
+def test_wronskian_at_a_shift_of_a_billion():
+    # every rung is one closed form, so no derivative order below the shift is built
+    with criterion("wronskian-shift-1e9", 1.0):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wronskit", "wronskian", "--n", "3", "--shift", "1000000000"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().endswith(": 28179280429056")  # (2^3 3!)^8
+
+
+def test_wronskian_suite_at_a_large_shift():
+    with criterion("wronskian-suite-shift-30000", 2.0):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wronskit", "verify", "--suite", "wronskian", "--max-n", "4",
+             "--shifts", "0,30000"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        aggregate = json.loads(proc.stdout)["aggregate"]
+        assert aggregate["total"] == aggregate["passed"] == 86, aggregate
 
 
 def test_hankel_and_wronskian_transforms():

@@ -320,7 +320,9 @@ def test_large_shifts_run(tmp_path, capsys):
 
 
 def test_wronskian_rejects_negative(capsys):
-    assert main(["wronskian", "--n", "-1"]) == 2
+    for argv in (["--n", "-1"], ["--n", "1", "--shift", "-1"], ["--n", "1", "--count", "0"]):
+        assert main(["wronskian", *argv]) == 2
+        assert capsys.readouterr().err == "configuration error: chain needs n >= 0, shift >= 0, count >= 1\n"
 
 
 def test_identity_command(capsys):

@@ -117,10 +117,10 @@ def test_double_shift_stack_is_the_interleaved_binomial_matrix():
 @pytest.fixture
 def fresh_caches():
     independence._double_shift_stack.cache_clear()
-    trigring._rungs.clear()
+    trigring.ladder_rung.cache_clear()
     yield
     independence._double_shift_stack.cache_clear()
-    trigring._rungs.clear()
+    trigring.ladder_rung.cache_clear()
 
 
 def test_ladder_rung_is_a_harmonic_step_power(fresh_caches):
@@ -133,19 +133,23 @@ def test_ladder_rung_is_a_harmonic_step_power(fresh_caches):
                     assert rung == u, (n, kind, order, k)
                     assert (rung == 0) == (k >= n + 1), (n, kind, order, k)
                     u = harmonic_step(u)
-    # a cold read of a high rung fills the rows below it, and each row up to
-    # its order, by loops: neither k nor the order nears the recursion limit
+    # a cold rung is one closed form, whatever its k and order
     n = 400
     assert is_constant(two_by_two(n, 2, Trig.COS)) == -(2 ** n * math.factorial(n)) ** 2
-    trigring._rungs.clear()
+    trigring.ladder_rung.cache_clear()
     assert is_constant(two_by_two(3, 3000, Trig.COS)) == -(2 ** 3 * math.factorial(3)) ** 2
     with pytest.raises(ValueError):
         ladder_rung(1, Trig.SIN, -1, 0)
     with pytest.raises(ValueError):
         ladder_rung(1, Trig.SIN, 0, -1)
+    with pytest.raises(ValueError):
+        ladder_rung(-1, Trig.SIN, 0, 0)
 
 
-def test_a_warm_ladder_makes_no_derivative(monkeypatch, fresh_caches):
+def test_a_ladder_makes_no_derivative_cold_or_warm(monkeypatch, fresh_caches):
+    spec = ChainSpec(3, 1, Trig.COS, 9)
+    want = ladder_wronskian(spec)
+    trigring.ladder_rung.cache_clear()
     calls = []
 
     def counted(u):
@@ -153,12 +157,11 @@ def test_a_warm_ladder_makes_no_derivative(monkeypatch, fresh_caches):
         return differentiate(u)
 
     monkeypatch.setattr(trigring, "differentiate", counted)
-    spec = ChainSpec(3, 1, Trig.COS, 9)
-    first = ladder_wronskian(spec)
-    assert calls  # the counter sees the cold build
-    calls.clear()
-    assert ladder_wronskian(spec) == first
+    assert ladder_wronskian(spec) == want  # cold
+    assert ladder_wronskian(spec) == want  # warm
     assert calls == []
+    trigring.harmonic_step(want[0, 0])  # the counter does see the ring's own rule
+    assert calls
 
 
 def test_concurrent_cold_reads_build_the_serial_ladder(fresh_caches):
@@ -168,7 +171,7 @@ def test_concurrent_cold_reads_build_the_serial_ladder(fresh_caches):
     sys.setswitchinterval(1e-6)
     try:
         for trial in range(20):
-            trigring._rungs.clear()
+            trigring.ladder_rung.cache_clear()
             got = [None] * 4
 
             def read(i):

@@ -13,6 +13,7 @@ from wronskit import (
     differentiate,
     harmonic_step,
     is_constant,
+    ladder_rung,
     monomial_derivative,
     trigring,
 )
@@ -84,9 +85,36 @@ def test_derivative_chain_of_x_sin_x():
 
 def test_a_cold_derivative_of_any_order():
     # Leibniz: D^n (x sin x) = x sin^(n) x + n sin^(n-1) x, and 5000 = 0 mod 4;
-    # the rung table fills by loops, so no order nears the recursion limit
-    trigring._rungs.clear()
+    # the rung is one closed form, so no lower order is computed
+    trigring.ladder_rung.cache_clear()
     assert monomial_derivative(1, Trig.SIN, 5000) == TrigPoly({(0, 1): -5000}, {(1, 0): 1})
+    # Leibniz again: D^n (x^2 sin x) = x^2 sin^(n) + 2n x sin^(n-1) + n(n-1) sin^(n-2),
+    # and n = 3 mod 4, so sin^(n) = -cos, sin^(n-1) = -sin, sin^(n-2) = cos
+    n = 10 ** 6 + 3
+    assert monomial_derivative(2, Trig.SIN, n) == TrigPoly({(2, 1): -1, (0, 1): n * (n - 1)},
+                                                           {(1, 0): -2 * n})
+
+
+@st.composite
+def rungs(draw):
+    power = draw(st.integers(0, 12))
+    return power, draw(st.sampled_from(Trig)), draw(st.integers(0, 40)), draw(st.integers(0, power + 2))
+
+
+@given(rungs())
+@example((0, Trig.SIN, 0, 0))
+@example((12, Trig.COS, 40, 14))
+@settings(deadline=None)
+def test_ladder_rung_matches_the_ring_rules(rung):
+    power, kind, order, k = rung
+    u = basis_element(power, kind)
+    for _ in range(order):
+        u = differentiate(u)
+    for _ in range(k):
+        u = harmonic_step(u)
+    got = ladder_rung(power, kind, order, k)
+    assert got == u, rung
+    assert _stores_no_zero(got), rung
 
 
 def test_basic_derivatives():
