@@ -1,7 +1,8 @@
 """Exact combinatorial primitives.
 
 Falling factorials, binomial coefficients with arbitrary rational upper
-argument, and the two binomial-sum identity checkers used by the
+argument (one at a time, or a whole column C(x, 0..size-1) as one running
+product), and the two binomial-sum identity checkers used by the
 determinant verifiers.
 All arithmetic is over int / fractions.Fraction; nothing here rounds.
 """
@@ -51,6 +52,33 @@ def binomial(x: Rat, k: int) -> Rat:
     for i in range(k):
         num *= p - i * q
     return Fraction(num, q ** k * math.factorial(k))
+
+
+def binomial_column(x: Rat, size: int) -> list[Rat]:
+    """[C(x, 0), ..., C(x, size-1)] as one running product, each entry the
+    value and type ``binomial(x, k)`` gives.  For an int x (a Fraction
+    with denominator 1 counts as one), C(x, i) = C(x, i-1) (x-i+1) // i, an
+    exact division for either sign of x.  For x = p/q with q > 1, the
+    numerator prod (p - t q) over t < i and the denominator q^i i! are
+    carried along as ints, and one Fraction is built per entry."""
+    if size < 0:
+        raise ValueError("binomial column needs size >= 0")
+    if isinstance(x, Fraction) and x.denominator == 1:
+        x = int(x)
+    out: list[Rat] = [1] * min(size, 1)
+    if isinstance(x, int):
+        c = 1
+        for i in range(1, size):
+            c = c * (x - i + 1) // i
+            out.append(c)
+        return out
+    p, q = x.numerator, x.denominator
+    num = den = 1
+    for i in range(1, size):
+        num *= p - (i - 1) * q
+        den *= q * i
+        out.append(Fraction(num, den))
+    return out
 
 
 def check_odd_binomial_sum(n: int, j: int) -> VerificationReport:

@@ -1,6 +1,7 @@
 """Immutable matrices over the exact rings used here (int, Fraction,
-TrigPoly), stored densely: a product over Z and Q that multiplies only
-nonzero pairs, so it costs those pairs rather than rows x cols x inner, one
+TrigPoly), stored densely: a product over Z and Q that builds each output
+row as a combination of the right factor's rows, one per nonzero entry of the
+left row, so a sparse left factor costs only its nonzero entries, one
 fraction-free (Bareiss) elimination for the rank and the determinant of
 integer and rational matrices, a division-free determinant memoized over
 column subsets for TrigPoly entries, the even/odd interleave split for
@@ -11,13 +12,16 @@ TrigPoly.sum_of_products; TrigPoly matrices are never multiplied.
 
 Rational arithmetic runs on Python ints: each row of a matrix that holds a
 Fraction is scaled by the lcm of its denominators, the elimination and the
-product work on those integer rows, and one Fraction is built per result
-from the integer numerator over the product of the scales."""
+product work on those integer rows, and one Fraction is built per nonzero
+result from the integer numerator over the product of the scales.  Every
+zero entry of a product is the int 0."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, compress, count, repeat
+from operator import add, mul
 from typing import Any, Callable, Iterable, Sequence
 
 from .trigring import TrigPoly
@@ -39,7 +43,7 @@ class ExactMatrix:
             raise ValueError("rows have unequal lengths")
         self._rows = len(data)
         self._cols = width
-        self._e = tuple(x for r in data for x in r)
+        self._e = tuple(chain.from_iterable(data))
 
     @classmethod
     def from_fn(cls, rows: int, cols: int, fn: Callable[[int, int], Entry]) -> "ExactMatrix":
@@ -48,7 +52,20 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls.from_fn(n, n, lambda i, j: 1 if i == j else 0)
+        return cls.unit_lower(n, 1, n)
+
+    @classmethod
+    def unit_lower(cls, n: int, offset: int, start: int) -> "ExactMatrix":
+        """The n x n matrix with ones on the diagonal and at (i, i - offset)
+        for every row i >= start (0-indexed, offset >= 1), zeros elsewhere."""
+        rows = []
+        for i in range(n):
+            row = [0] * n
+            row[i] = 1
+            if i >= start:
+                row[i - offset] = 1
+            rows.append(row)
+        return cls(rows)
 
     @property
     def rows(self) -> int:
@@ -77,15 +94,17 @@ class ExactMatrix:
         return hash((self._rows, self._cols, self._e))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Exact product, row by row (Gustavson): each nonzero entry e at
-        (i, k) of the left factor meets the nonzero entries v at (k, j) of the
-        right one and adds e*v into entry (i, j).  The cost is the number of
-        such nonzero pairs, not rows x cols x inner; an entry that gets no
-        term is the int 0.  When a factor holds a Fraction, the pairs are
-        multiplied as ints (left rows scaled by their own lcms, the right
-        factor by one) and each entry becomes one Fraction.  Entries must
-        embed in the rationals: a TrigPoly operand raises TypeError, as in
-        ``rank``; ``conjugate_hankel`` covers the ring's one product."""
+        """Exact product, a row at a time: output row i is the sum of
+        e * (row k of the right factor) over the nonzero entries e at (i, k)
+        of the left factor, each step one C-level map over a whole row, and a
+        unit entry adds its row unscaled.  A sparse left factor (a row shift
+        is a unit diagonal and one subdiagonal) therefore costs one row
+        operation per nonzero entry.  Every zero entry of the product is the
+        int 0.  When a factor holds a Fraction, the rows are combined as ints
+        (left rows scaled by their own lcms, the right factor by one) and each
+        nonzero entry becomes one Fraction.  Entries must embed in the
+        rationals: a TrigPoly operand raises TypeError, as in ``rank``;
+        ``conjugate_hankel`` covers the ring's one product."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self._cols != other._rows:
@@ -94,19 +113,19 @@ class ExactMatrix:
         kinds = self._kinds() | other._kinds()
         if TrigPoly in kinds:
             raise TypeError("matrix products need integer or rational entries")
-        right = [[(j, v) for j, v in enumerate(other.row(k)) if v] for k in range(other._rows)]
-        out = []
+        cols = other._cols
         if Fraction not in kinds:
-            for acc in _row_sums(map(self.row, range(self._rows)), right, other._cols):
-                out.append([0 if v is None else v for v in acc])
-            return ExactMatrix(out)
+            right = list(map(other.row, range(other._rows)))
+            return ExactMatrix(_row_combinations(map(self.row, range(self._rows)), right, cols))
         # left row i is scaled to ints by scales[i], the whole right factor by one lcm
         left, scales = self._integer_rows(True)
         common = math.lcm(*[v.denominator for v in other._e])
-        right = [[(j, v.numerator * (common // v.denominator)) for j, v in terms] for terms in right]
-        for acc, scale in zip(_row_sums(left, right, other._cols), scales):
+        right = [[v.numerator * (common // v.denominator) for v in other.row(k)]
+                 for k in range(other._rows)]
+        out = []
+        for acc, scale in zip(_row_combinations(left, right, cols), scales):
             den = common * scale
-            out.append([0 if v is None else Fraction(v, den) for v in acc])
+            out.append([Fraction(v, den) if v else 0 for v in acc])
         return ExactMatrix(out)
 
     def transpose(self) -> "ExactMatrix":
@@ -235,14 +254,15 @@ class ExactMatrix:
         """
         if self._rows != self._cols or self._rows % 2:
             raise ValueError("interleave split needs a square matrix of even order")
-        for i in range(self._rows):
-            for j in range(self._cols):
-                if (i + j) % 2 and self[i, j]:
-                    raise ValueError(
-                        f"checkerboard violation: nonzero entry at row {i + 1}, column {j + 1}")
-        m = self._rows // 2
-        odd = ExactMatrix([[self[2 * i, 2 * j] for j in range(m)] for i in range(m)])
-        even = ExactMatrix([[self[2 * i + 1, 2 * j + 1] for j in range(m)] for i in range(m)])
+        rows = list(map(self.row, range(self._rows)))
+        for i, row in enumerate(rows):
+            first = (i + 1) % 2  # the first column whose index sum with i is odd
+            bad = next(compress(count(first, 2), row[first::2]), None)
+            if bad is not None:
+                raise ValueError(
+                    f"checkerboard violation: nonzero entry at row {i + 1}, column {bad + 1}")
+        odd = ExactMatrix(row[0::2] for row in rows[0::2])
+        even = ExactMatrix(row[1::2] for row in rows[1::2])
         return odd, even
 
     def pretty(self) -> str:
@@ -267,18 +287,18 @@ class ExactMatrix:
         return f"ExactMatrix({self._rows}x{self._cols})"
 
 
-def _row_sums(left: Iterable[Iterable[Entry]], right: list[list[tuple[int, Entry]]],
-              cols: int) -> Iterable[list[Entry]]:
-    """Per left row, the sums of e*v over its nonzero entries e at k and the
-    nonzero (j, v) of right[k]; None where an entry gets no term."""
+def _row_combinations(left: Iterable[Sequence[int]], right: Sequence[Sequence[int]],
+                      cols: int) -> Iterable[Iterable[int]]:
+    """Per left row, the sum of e * right[k] over its nonzero entries e at k,
+    all ints; a left row with no nonzero entry gives a row of zeros."""
+    zero = (0,) * cols
     for row in left:
-        acc: list[Entry] = [None] * cols
-        for e, terms in zip(row, right):
-            if e:
-                for j, v in terms:
-                    got = acc[j]
-                    acc[j] = e * v if got is None else got + e * v
-        yield acc
+        acc = None
+        for e, terms in compress(zip(row, right), row):
+            if e != 1:
+                terms = map(mul, repeat(e), terms)
+            acc = terms if acc is None else list(map(add, acc, terms))
+        yield zero if acc is None else acc
 
 
 def conjugate_hankel(stack: ExactMatrix, h: Sequence[Entry]) -> ExactMatrix:

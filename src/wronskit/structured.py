@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .combinatorics import Rat, binomial
+from .combinatorics import Rat, binomial, binomial_column
 from .matrix import ExactMatrix, first_difference
 from .report import VerificationReport, finish_report
 
@@ -57,7 +57,7 @@ def row_shift_matrix(n: int, k: int) -> ExactMatrix:
     original rows k..n-1 to the row below it, all at once.  Valid 1 <= k <= n-1."""
     if n < 2 or not 1 <= k <= n - 1:
         raise ValueError(f"row shift needs n >= 2 and 1 <= k <= n-1, got n={n}, k={k}")
-    return ExactMatrix.from_fn(n, n, lambda i, j: 1 if i == j or (i == j + 1 and i >= k + 1) else 0)
+    return ExactMatrix.unit_lower(n, 1, k)
 
 
 def double_shift_matrix(n: int, k: int) -> ExactMatrix:
@@ -68,7 +68,7 @@ def double_shift_matrix(n: int, k: int) -> ExactMatrix:
     top = (n + 1) // 2 - 1
     if not 1 <= k <= top:
         raise ValueError(f"double shift needs 1 <= k <= {top} for n={n}, got k={k}")
-    return ExactMatrix.from_fn(n, n, lambda i, j: 1 if i == j or (i == j + 2 and i >= 2 * k + 1) else 0)
+    return ExactMatrix.unit_lower(n, 2, 2 * k)
 
 
 def build(spec: MatrixSpec) -> ExactMatrix:
@@ -92,16 +92,16 @@ def build(spec: MatrixSpec) -> ExactMatrix:
         return ExactMatrix.from_fn(spec.n, spec.n, lambda i, j: 2 ** (i - 1) * binomial(j - 1, i - 1))
     if kind is MatrixKind.BIDIAGONAL:
         _need_size(spec.n)
-        return ExactMatrix.from_fn(spec.n, spec.n, lambda i, j: 1 if i == j or i == j + 1 else 0)
+        return ExactMatrix.unit_lower(spec.n, 1, 1)
     if kind is MatrixKind.PASCAL:
         _need_size(spec.n)
-        return ExactMatrix.from_fn(spec.n, spec.n, lambda i, j: binomial(i - 1, j - 1))
+        return ExactMatrix(binomial_column(i, spec.n) for i in range(spec.n))
     if kind is MatrixKind.BINOM_ODD:
         _need_size(spec.n)
-        return ExactMatrix.from_fn(spec.n + 1, spec.n + 1, lambda i, j: binomial(2 * j - 1, i - 1))
+        return _binomial_nodes_matrix(range(1, 2 * spec.n + 2, 2))
     if kind is MatrixKind.BINOM_EVEN:
         _need_size(spec.n)
-        return ExactMatrix.from_fn(spec.n + 1, spec.n + 1, lambda i, j: binomial(2 * j, i - 1))
+        return _binomial_nodes_matrix(range(2, 2 * spec.n + 3, 2))
     if kind is MatrixKind.BINOM_AFFINE:
         _need_size(spec.n)
         if spec.a is None or spec.b is None:
@@ -115,9 +115,10 @@ def build(spec: MatrixSpec) -> ExactMatrix:
 
 
 def _binomial_nodes_matrix(nodes) -> ExactMatrix:
-    """The square matrix C(x_j, i-1) over the nodes x_1 .. x_size."""
+    """The square matrix C(x_j, i-1) over the nodes x_1 .. x_size: column j
+    is the running-product column ``binomial_column(x_j, size)``."""
     size = len(nodes)
-    return ExactMatrix.from_fn(size, size, lambda i, j: binomial(nodes[j - 1], i - 1))
+    return ExactMatrix(zip(*[binomial_column(x, size) for x in nodes]))
 
 
 def _need_size(n: int) -> None:

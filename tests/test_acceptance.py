@@ -141,6 +141,20 @@ def test_pascal_product():
             assert rep.passed, rep.line()
 
 
+def test_pascal_product_at_n_100():
+    with criterion("pascal-product-100", 2.0):
+        rep = verify_pascal_product(100)
+        assert rep.passed, rep.line()
+
+
+def test_cli_pascal_suite_to_n_60():
+    with criterion("cli-pascal-60", 10.0):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wronskit", "verify", "--suite", "pascal", "--max-n", "60"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 def test_node_determinants():
     with criterion("node-determinants", 2.0):
         rng = random.Random(20260817)

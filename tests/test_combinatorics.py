@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wronskit import (
     binomial,
@@ -10,6 +10,7 @@ from wronskit import (
     check_odd_binomial_sum,
     falling_factorial,
 )
+from wronskit.combinatorics import binomial_column
 from oracles import even_binomial_sum_by_fractions, odd_binomial_sum_by_fractions
 
 rationals = st.fractions(max_denominator=8).filter(lambda f: abs(f) <= 20)
@@ -58,6 +59,27 @@ def test_binomial_is_falling_factorial_over_factorial(x, k):
 def test_binomial_rejects_negative_k():
     with pytest.raises(ValueError):
         binomial(4, -1)
+
+
+@given(st.one_of(st.integers(-40, 40), st.integers(-40, 40).map(Fraction), rationals),
+       st.integers(0, 14))
+@example(5, 0)
+@example(-7, 1)
+@example(Fraction(-3, 2), 0)
+@example(Fraction(7, 3), 1)
+@example(Fraction(8, 2), 9)
+def test_binomial_column_matches_binomial(x, size):
+    col = binomial_column(x, size)
+    assert len(col) == size
+    for k, got in enumerate(col):
+        want = binomial(x, k)
+        assert got == want, k
+        assert type(got) is type(want), k
+
+
+def test_binomial_column_rejects_negative_size():
+    with pytest.raises(ValueError):
+        binomial_column(3, -1)
 
 
 @given(rationals, st.integers(1, 8))

@@ -94,23 +94,51 @@ def _sparse(rng, rows, cols, density, kind):
         for i in range(rows)])
 
 
+def _unit_lower_sparse(rng, n, kind):
+    """A unit diagonal and a few entries of the given kind below it, as in
+    the row-shift factors of the Pascal stack."""
+    entry = ENTRIES[kind]
+    return ExactMatrix([
+        [1 if i == j else entry(rng) if j < i and rng.random() < 0.3 else 0 for j in range(n)]
+        for i in range(n)])
+
+
+# products whose terms cancel: entry (0, 0) is 1/2 * 2/3 - 1/3 and 1/3 - 1/3
+CANCELLING = (
+    (ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [1, 0]]),
+     ExactMatrix([[Fraction(2, 3), 1], [-1, 0]])),
+    (ExactMatrix([[1, -1]]), ExactMatrix([[Fraction(1, 3)], [Fraction(1, 3)]])),
+)
+
+
 @pytest.mark.parametrize("left, right", [
     ("int", "int"), ("fraction", "fraction"), ("mixed", "mixed"), ("mixed", "int")])
 def test_matmul_matches_product_by_definition(left, right):
     rng = Random(f"{left}@{right}")
+    cases = []  # (left factor, right factor, its row 0 and last column are blank)
     for density in (0.2, 0.4, 0.6, 0.8, 1.0):
         for rows, inner, cols in ((1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 3), (3, 6, 2)):
-            a = _sparse(rng, rows, inner, density, left)
-            b = _sparse(rng, inner, cols, density, right)
-            got, want = a @ b, product_by_definition(a, b)
-            assert (got.rows, got.cols) == (rows, cols)
-            for i in range(rows):
-                for j in range(cols):
-                    assert got[i, j] == want[i, j], (i, j)
-                    assert str(got[i, j]) == str(want[i, j]), (i, j)
-            if density < 1:  # entries that get no term are the int 0
-                blank = got.row(0) + tuple(got[i, cols - 1] for i in range(rows))
-                assert all(v == 0 and type(v) is int for v in blank)
+            cases.append((_sparse(rng, rows, inner, density, left),
+                           _sparse(rng, inner, cols, density, right), density < 1))
+    for n in (1, 2, 5, 8):
+        # a unit-lower sparse left factor times a dense right one
+        cases.append((_unit_lower_sparse(rng, n, left), _sparse(rng, n, n, 1.0, right), False))
+        # a dense factor times a sparse one
+        cases.append((_sparse(rng, n, n, 1.0, left), _sparse(rng, n, 3, 0.2, right), False))
+    cases += [(a, b, False) for a, b in CANCELLING]
+    for a, b, blank in cases:
+        got, want = a @ b, product_by_definition(a, b)
+        assert (got.rows, got.cols) == (a.rows, b.cols)
+        for i in range(got.rows):
+            for j in range(got.cols):
+                assert got[i, j] == want[i, j], (i, j)
+                assert str(got[i, j]) == str(want[i, j]), (i, j)
+                # every zero entry is the int 0, cancelled rational sums included
+                assert got[i, j] != 0 or type(got[i, j]) is int, (i, j)
+        if blank:  # entries that get no term are zeros too
+            assert got.row(0) == (0,) * got.cols
+            assert all(got[i, got.cols - 1] == 0 for i in range(got.rows))
+    assert all((a @ b)[0, 0] == 0 for a, b in CANCELLING)
 
 
 def test_matmul_rejects_trigpoly_operands():
@@ -372,6 +400,19 @@ def test_interleave_split_rejects_odd_order_and_violations():
         ExactMatrix([[1]]).interleave_split()
     with pytest.raises(ValueError, match=r"row 1, column 2"):
         ExactMatrix([[1, 5], [0, 1]]).interleave_split()
+
+
+def test_interleave_split_names_the_first_violation_in_row_order():
+    m = [[1, 0, 2, 0], [0, 3, 0, 4], [5, 0, 6, 0], [0, 7, 0, 8]]
+    odd, even = ExactMatrix(m).interleave_split()
+    assert (odd, even) == (ExactMatrix([[1, 2], [5, 6]]), ExactMatrix([[3, 4], [7, 8]]))
+    m[3][2] = m[2][3] = m[2][1] = 9  # 1-indexed (4, 3), (3, 4) and (3, 2)
+    with pytest.raises(ValueError) as caught:
+        ExactMatrix(m).interleave_split()
+    assert str(caught.value) == "checkerboard violation: nonzero entry at row 3, column 2"
+    m[0][3] = Fraction(1, 2)
+    with pytest.raises(ValueError, match=r"^checkerboard violation: nonzero entry at row 1, column 4$"):
+        ExactMatrix(m).interleave_split()
 
 
 def test_interleave_split_determinant_factorization():

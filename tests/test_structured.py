@@ -7,6 +7,7 @@ from wronskit import (
     ExactMatrix,
     MatrixKind,
     MatrixSpec,
+    binomial,
     build,
     det_closed_form,
     det_identity,
@@ -71,6 +72,35 @@ def test_unit_triangular_kinds_have_determinant_one():
         assert build(MatrixSpec(MatrixKind.LOWER_HALVING, n=n)).determinant() == 1
         assert build(MatrixSpec(MatrixKind.BIDIAGONAL, n=n)).determinant() == 1
         assert build(MatrixSpec(MatrixKind.PASCAL, n=n)).determinant() == 1
+
+
+def _same_entries(got, want):
+    assert got == want
+    assert [type(got[i, j]) for i in range(got.rows) for j in range(got.cols)] == \
+        [type(want[i, j]) for i in range(want.rows) for j in range(want.cols)]
+
+
+def test_closure_free_builders_match_their_entry_definitions():
+    from_fn = ExactMatrix.from_fn
+    for n in range(1, 13):
+        _same_entries(ExactMatrix.identity(n), from_fn(n, n, lambda i, j: 1 if i == j else 0))
+        _same_entries(build(MatrixSpec(MatrixKind.BIDIAGONAL, n=n)),
+                      from_fn(n, n, lambda i, j: 1 if i == j or i == j + 1 else 0))
+        _same_entries(build(MatrixSpec(MatrixKind.PASCAL, n=n)),
+                      from_fn(n, n, lambda i, j: binomial(i - 1, j - 1)))
+        _same_entries(build(MatrixSpec(MatrixKind.BINOM_ODD, n=n)),
+                      from_fn(n + 1, n + 1, lambda i, j: binomial(2 * j - 1, i - 1)))
+        _same_entries(build(MatrixSpec(MatrixKind.BINOM_EVEN, n=n)),
+                      from_fn(n + 1, n + 1, lambda i, j: binomial(2 * j, i - 1)))
+        nodes = tuple(Fraction(3 * j - 17, 1 + j % 3) for j in range(n))
+        _same_entries(build(MatrixSpec(MatrixKind.BINOM_NODES, nodes=nodes)),
+                      from_fn(n, n, lambda i, j: binomial(nodes[j - 1], i - 1)))
+        for k in range(1, n):
+            _same_entries(row_shift_matrix(n, k), from_fn(
+                n, n, lambda i, j: 1 if i == j or (i == j + 1 and i >= k + 1) else 0))
+        for k in range(1, (n + 1) // 2):
+            _same_entries(double_shift_matrix(n, k), from_fn(
+                n, n, lambda i, j: 1 if i == j or (i == j + 2 and i >= 2 * k + 1) else 0))
 
 
 def test_lower_halving_entries():
