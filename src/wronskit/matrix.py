@@ -1,14 +1,16 @@
 """Immutable matrices over the exact rings used here (int, Fraction,
-TrigPoly), stored densely: a product over Z and Q that builds each output
-row as a combination of the right factor's rows, one per nonzero entry of the
-left row, so a sparse left factor costs only its nonzero entries, one
-fraction-free (Bareiss) elimination for the rank and the determinant of
-integer and rational matrices, a division-free determinant memoized over
-column subsets for TrigPoly entries, the even/odd interleave split for
-checkerboard matrices, and the conjugation S H S^T of a Hankel matrix H by a
-nonnegative integer matrix S.  Where TrigPoly entries meet, each minor and
-each entry of a Hankel conjugation is one signed sum of products, reduced by
-TrigPoly.sum_of_products; TrigPoly matrices are never multiplied.
+TrigPoly), each a tuple of row tuples, read a row at a time: a product over
+Z and Q that builds each output row as a combination of the right factor's
+rows, one per nonzero entry of the left row, so a sparse left factor costs
+only its nonzero entries and an int product shares each row it passes
+through unchanged, one fraction-free (Bareiss) elimination for the rank and
+the determinant of integer and rational matrices, a division-free
+determinant memoized over column subsets for TrigPoly entries, the even/odd
+interleave split for checkerboard matrices, and the conjugation S H S^T of a
+Hankel matrix H by a nonnegative integer matrix S.  Where TrigPoly entries
+meet, each minor and each entry of a Hankel conjugation is one signed sum of
+products, reduced by TrigPoly.sum_of_products; TrigPoly matrices are never
+multiplied.
 
 Rational arithmetic runs on Python ints: each row of a matrix that holds a
 Fraction is scaled by the lcm of its denominators, the elimination and the
@@ -30,20 +32,20 @@ Entry = Any  # int | Fraction | TrigPoly
 
 
 class ExactMatrix:
-    """Row-major immutable matrix; entries are shared, never copied."""
+    """Immutable matrix held as a tuple of row tuples; rows are immutable
+    tuples, shared between matrices, never copied."""
 
-    __slots__ = ("_rows", "_cols", "_e")
+    __slots__ = ("_r", "_cols")
 
     def __init__(self, rows: Iterable[Iterable[Entry]]):
-        data = [tuple(r) for r in rows]
+        data = tuple(map(tuple, rows))
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("rows have unequal lengths")
-        self._rows = len(data)
+        self._r = data
         self._cols = width
-        self._e = tuple(chain.from_iterable(data))
 
     @classmethod
     def from_fn(cls, rows: int, cols: int, fn: Callable[[int, int], Entry]) -> "ExactMatrix":
@@ -69,7 +71,7 @@ class ExactMatrix:
 
     @property
     def rows(self) -> int:
-        return self._rows
+        return len(self._r)
 
     @property
     def cols(self) -> int:
@@ -78,20 +80,20 @@ class ExactMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Entry:
         """0-indexed access: m[i, j]."""
         i, j = ij
-        if not (0 <= i < self._rows and 0 <= j < self._cols):
-            raise IndexError(f"entry ({i}, {j}) outside {self._rows}x{self._cols}")
-        return self._e[i * self._cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self._cols):
+            raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self._cols}")
+        return self._r[i][j]
 
     def row(self, i: int) -> tuple[Entry, ...]:
-        return self._e[i * self._cols:(i + 1) * self._cols]
+        return self._r[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self._rows, self._cols) == (other._rows, other._cols) and self._e == other._e
+        return self._r == other._r
 
     def __hash__(self):
-        return hash((self._rows, self._cols, self._e))
+        return hash(self._r)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Exact product, a row at a time: output row i is the sum of
@@ -99,29 +101,28 @@ class ExactMatrix:
         of the left factor, each step one C-level map over a whole row, and a
         unit entry adds its row unscaled.  A sparse left factor (a row shift
         is a unit diagonal and one subdiagonal) therefore costs one row
-        operation per nonzero entry.  Every zero entry of the product is the
-        int 0.  When a factor holds a Fraction, the rows are combined as ints
-        (left rows scaled by their own lcms, the right factor by one) and each
-        nonzero entry becomes one Fraction.  Entries must embed in the
+        operation per nonzero entry; a row that one unit entry passes through
+        is the right factor's own row tuple.  Every zero entry of the product
+        is the int 0.  When a factor holds a Fraction, the rows are combined
+        as ints (left rows scaled by their own lcms, the right factor by one)
+        and each nonzero entry becomes one Fraction.  Entries must embed in the
         rationals: a TrigPoly operand raises TypeError, as in ``rank``;
         ``conjugate_hankel`` covers the ring's one product."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self._cols != other._rows:
+        if self._cols != other.rows:
             raise ValueError(
-                f"dimension mismatch: {self._rows}x{self._cols} @ {other._rows}x{other._cols}")
+                f"dimension mismatch: {self.rows}x{self._cols} @ {other.rows}x{other._cols}")
         kinds = self._kinds() | other._kinds()
         if TrigPoly in kinds:
             raise TypeError("matrix products need integer or rational entries")
         cols = other._cols
         if Fraction not in kinds:
-            right = list(map(other.row, range(other._rows)))
-            return ExactMatrix(_row_combinations(map(self.row, range(self._rows)), right, cols))
+            return ExactMatrix(_row_combinations(self._r, other._r, cols))
         # left row i is scaled to ints by scales[i], the whole right factor by one lcm
         left, scales = self._integer_rows(True)
-        common = math.lcm(*[v.denominator for v in other._e])
-        right = [[v.numerator * (common // v.denominator) for v in other.row(k)]
-                 for k in range(other._rows)]
+        common = math.lcm(*[v.denominator for v in chain.from_iterable(other._r)])
+        right = [[v.numerator * (common // v.denominator) for v in row] for row in other._r]
         out = []
         for acc, scale in zip(_row_combinations(left, right, cols), scales):
             den = common * scale
@@ -129,22 +130,21 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(zip(*(self.row(i) for i in range(self._rows))))
+        return ExactMatrix(zip(*self._r))
 
     def _kinds(self) -> set[type]:  # the entry types: one C-level pass
-        return set(map(type, self._e))
+        return set(map(type, chain.from_iterable(self._r)))
 
     def _integer_rows(self, rational: bool) -> tuple[list[list[int]], list[int] | None]:
         """The rows as lists of ints, each scaled by the lcm of its entries'
         denominators, and those per-row scales.  ``rational`` says whether
         an entry may be a Fraction (the caller's type probe); if not, the
-        rows come back as they are, with no scales."""
-        rows = [list(self.row(i)) for i in range(self._rows)]
+        rows come back as lists of their entries, with no scales."""
         if not rational:
-            return rows, None
-        scales = [math.lcm(*[v.denominator for v in row]) for row in rows]
+            return list(map(list, self._r)), None
+        scales = [math.lcm(*[v.denominator for v in row]) for row in self._r]
         return [[v.numerator * (d // v.denominator) for v in row]
-                for row, d in zip(rows, scales)], scales
+                for row, d in zip(self._r, scales)], scales
 
     def _bareiss(self, rational: bool) -> tuple[int, Entry]:
         """Fraction-free (Bareiss) elimination on the integer rows of
@@ -161,7 +161,7 @@ class ExactMatrix:
         the determinant's sign.
         """
         m, scales = self._integer_rows(rational)
-        rows, cols = self._rows, self._cols
+        rows, cols = len(m), self._cols
         prev = 1
         sign = 1
         r = 0
@@ -202,13 +202,12 @@ class ExactMatrix:
         Each minor of two or more rows is one TrigPoly.sum_of_products over
         its signed (entry, sub-minor) pairs, so it is a TrigPoly.
         """
-        if self._rows != self._cols:
+        rows = self._r
+        if len(rows) != self._cols:
             raise ValueError("determinant needs a square matrix")
         kinds = self._kinds()
         if TrigPoly not in kinds:
             return self._bareiss(Fraction in kinds)[1]
-        n = self._rows
-        flat = self._e
         memo: dict[int, Entry] = {}
 
         def minor(mask: int) -> Entry:
@@ -217,14 +216,14 @@ class ExactMatrix:
                 return got
             k = mask.bit_count()
             if k == 1:
-                return flat[mask.bit_length() - 1]
-            base = (k - 1) * n
+                return rows[0][mask.bit_length() - 1]
+            line = rows[k - 1]
             terms = []
             pos = k - 1
             m = mask
             while m:
                 c = (m & -m).bit_length() - 1
-                entry = flat[base + c]
+                entry = line[c]
                 if entry:
                     sub = minor(mask ^ (1 << c))
                     if sub:
@@ -234,7 +233,7 @@ class ExactMatrix:
             memo[mask] = got = TrigPoly.sum_of_products(terms)
             return got
 
-        return minor((1 << n) - 1)
+        return minor((1 << len(rows)) - 1)
 
     def rank(self) -> int:
         """Rank by the Bareiss elimination.  Entries must embed in the
@@ -252,9 +251,9 @@ class ExactMatrix:
         violation is reported with its 1-indexed position.  For such matrices
         det(whole) = det(odd block) * det(even block).
         """
-        if self._rows != self._cols or self._rows % 2:
+        rows = self._r
+        if len(rows) != self._cols or len(rows) % 2:
             raise ValueError("interleave split needs a square matrix of even order")
-        rows = list(map(self.row, range(self._rows)))
         for i, row in enumerate(rows):
             first = (i + 1) % 2  # the first column whose index sum with i is odd
             bad = next(compress(count(first, 2), row[first::2]), None)
@@ -267,24 +266,24 @@ class ExactMatrix:
 
     def pretty(self) -> str:
         """Aligned text rendering with exact entries."""
-        cells = [[str(self[i, j]) for j in range(self._cols)] for i in range(self._rows)]
-        widths = [max(len(cells[i][j]) for i in range(self._rows)) for j in range(self._cols)]
+        cells = [list(map(str, row)) for row in self._r]
+        widths = [max(map(len, col)) for col in zip(*cells)]
         return "\n".join(
             "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
             for row in cells)
 
     def to_json_dict(self) -> dict:
         return {
-            "rows": self._rows,
+            "rows": self.rows,
             "cols": self._cols,
-            "entries": [str(v) for v in self._e],
+            "entries": [str(v) for v in chain.from_iterable(self._r)],
         }
 
     def __str__(self) -> str:
         return self.pretty()
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self._rows}x{self._cols})"
+        return f"ExactMatrix({self.rows}x{self._cols})"
 
 
 def _row_combinations(left: Iterable[Sequence[int]], right: Sequence[Sequence[int]],
@@ -316,9 +315,9 @@ def conjugate_hankel(stack: ExactMatrix, h: Sequence[Entry]) -> ExactMatrix:
     k = stack.cols
     if len(h) != 2 * k - 1:
         raise ValueError(f"a Hankel matrix of order {k} needs {2 * k - 1} values, got {len(h)}")
-    if stack._kinds() != {int} or min(stack._e) < 0:
+    rows = stack._r
+    if stack._kinds() != {int} or min(map(min, rows)) < 0:
         raise ValueError("Hankel conjugation needs a matrix of nonnegative ints")
-    rows = [stack.row(i) for i in range(stack.rows)]
     width = 2 * max(map(sum, rows)).bit_length()
     mask = (1 << width) - 1
     packed = [sum(v << (a * width) for a, v in enumerate(row)) for row in rows]

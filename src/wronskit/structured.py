@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .combinatorics import Rat, binomial, binomial_column
+from .combinatorics import Rat, binomial_column
 from .matrix import ExactMatrix, first_difference
 from .report import VerificationReport, finish_report
 
@@ -41,7 +41,8 @@ class MatrixSpec:
     where it is the family parameter and the matrix is (n+1) x (n+1).
     ``k`` is the shift cutoff for ROW_SHIFT / DOUBLE_SHIFT; ``a``/``b`` the
     affine progression; ``nodes`` the upper arguments for BINOM_NODES (its
-    size is len(nodes), ``n`` is ignored).
+    size is len(nodes), and ``n`` stays 0).  ``build`` refuses a field that
+    its kind does not read.
     """
 
     kind: MatrixKind
@@ -71,8 +72,23 @@ def double_shift_matrix(n: int, k: int) -> ExactMatrix:
     return ExactMatrix.unit_lower(n, 2, 2 * k)
 
 
+# the MatrixSpec fields besides ``kind`` that each kind reads (the others
+# read n); a field is given when it is not None, and n when it is not 0
+_READS = {
+    MatrixKind.ROW_SHIFT: ("n", "k"),
+    MatrixKind.DOUBLE_SHIFT: ("n", "k"),
+    MatrixKind.BINOM_AFFINE: ("n", "a", "b"),
+    MatrixKind.BINOM_NODES: ("nodes",),
+}
+
+
 def build(spec: MatrixSpec) -> ExactMatrix:
     kind = spec.kind
+    reads = _READS.get(kind, ("n",))
+    given = {"n": spec.n or None, "k": spec.k, "a": spec.a, "b": spec.b, "nodes": spec.nodes}
+    unread = [name for name, value in given.items() if value is not None and name not in reads]
+    if unread:
+        raise ValueError(f"{kind.value} does not take {', '.join(unread)}")
     if kind is MatrixKind.ROW_SHIFT:
         if spec.k is None:
             raise ValueError("row-shift needs k")
@@ -82,14 +98,17 @@ def build(spec: MatrixSpec) -> ExactMatrix:
             raise ValueError("double-shift needs k")
         return double_shift_matrix(spec.n, spec.k)
     if kind is MatrixKind.LOWER_HALVING:
-        _need_size(spec.n)
-        return ExactMatrix.from_fn(
-            spec.n, spec.n,
-            lambda i, j: Fraction((-1) ** (i - j) * binomial(2 * i - j - 1, i - j), 2 ** (i - j))
-            if j <= i else 0)
+        n = spec.n
+        _need_size(n)
+        # (-1/2)^d C(i-1+d, d) = C(-i, d) / 2^d at d = i - j, read right to left
+        return ExactMatrix(
+            [Fraction(c, 1 << d) for d, c in enumerate(binomial_column(-i, i))][::-1]
+            + [0] * (n - i) for i in range(1, n + 1))
     if kind is MatrixKind.SCALED_PASCAL:
         _need_size(spec.n)
-        return ExactMatrix.from_fn(spec.n, spec.n, lambda i, j: 2 ** (i - 1) * binomial(j - 1, i - 1))
+        # row i is 2^i times column i of the Pascal rows (0-indexed)
+        pascal = [binomial_column(j, spec.n) for j in range(spec.n)]
+        return ExactMatrix([c << i for c in col] for i, col in enumerate(zip(*pascal)))
     if kind is MatrixKind.BIDIAGONAL:
         _need_size(spec.n)
         return ExactMatrix.unit_lower(spec.n, 1, 1)

@@ -34,9 +34,11 @@ from wronskit import (
     scaled_coordinate_matrix,
     trigring,
     verify_dependence,
+    verify_even_from_odd,
     verify_even_hankel_transform,
     verify_full_rank,
     verify_pascal_product,
+    verify_triangularization,
     verify_wronskian_factorization,
     verify_wronskian_transform,
     wronskian_hankel,
@@ -144,6 +146,18 @@ def test_pascal_product():
 def test_pascal_product_at_n_100():
     with criterion("pascal-product-100", 2.0):
         rep = verify_pascal_product(100)
+        assert rep.passed, rep.line()
+
+
+def test_triangularization_at_n_100():
+    with criterion("binom-triangularization-100", 2.0):
+        rep = verify_triangularization(100)
+        assert rep.passed, rep.line()
+
+
+def test_even_from_odd_at_n_100():
+    with criterion("binom-even-from-odd-100", 2.0):
+        rep = verify_even_from_odd(100)
         assert rep.passed, rep.line()
 
 

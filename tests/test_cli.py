@@ -222,6 +222,18 @@ def test_matrix_kind_parameter_errors(capsys):
     assert "configuration error: double shift needs n >= 3, got n=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "binom-nodes", "--nodes", "1,2,4", "--a", "3"], "binom-nodes does not take a"),
+    (["--kind", "pascal", "--n", "3", "--k", "2"], "pascal does not take k"),
+    (["--kind", "binom-nodes", "--n", "3", "--nodes", "1,2,4"], "binom-nodes does not take n"),
+])
+def test_matrix_rejects_a_flag_its_kind_does_not_read(capsys, argv, message):
+    assert main(["matrix", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
 def test_matrix_nodes_argument(capsys):
     code = main(["matrix", "--kind", "binom-nodes", "--nodes", "1,3/2,4", "--json"])
     assert code == 0

@@ -49,6 +49,18 @@ def test_indexing_and_shape():
         m[2, 0]
 
 
+def test_rows_are_tuples_read_once_and_never_aliased():
+    rows = [[1, 2], [3, 4]]
+    m = ExactMatrix(rows)
+    rows[0][0] = 99
+    rows.append([5, 6])
+    assert m == ExactMatrix([[1, 2], [3, 4]]) and m.rows == 2
+    once = ExactMatrix((v for v in (1, 2)) for _ in range(2))
+    assert once == ExactMatrix([[1, 2], [1, 2]])
+    assert all(type(m.row(i)) is tuple for i in range(m.rows))
+    assert ExactMatrix([[1, 2]]) != ExactMatrix([[1], [2]])
+
+
 def test_from_fn_is_one_indexed():
     m = ExactMatrix.from_fn(2, 2, lambda i, j: 10 * i + j)
     assert m == ExactMatrix([[11, 12], [21, 22]])

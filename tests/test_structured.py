@@ -92,6 +92,11 @@ def test_closure_free_builders_match_their_entry_definitions():
                       from_fn(n + 1, n + 1, lambda i, j: binomial(2 * j - 1, i - 1)))
         _same_entries(build(MatrixSpec(MatrixKind.BINOM_EVEN, n=n)),
                       from_fn(n + 1, n + 1, lambda i, j: binomial(2 * j, i - 1)))
+        _same_entries(build(MatrixSpec(MatrixKind.LOWER_HALVING, n=n)), from_fn(
+            n, n, lambda i, j: Fraction((-1) ** (i - j) * binomial(2 * i - j - 1, i - j),
+                                        2 ** (i - j)) if j <= i else 0))
+        _same_entries(build(MatrixSpec(MatrixKind.SCALED_PASCAL, n=n)),
+                      from_fn(n, n, lambda i, j: 2 ** (i - 1) * binomial(j - 1, i - 1)))
         nodes = tuple(Fraction(3 * j - 17, 1 + j % 3) for j in range(n))
         _same_entries(build(MatrixSpec(MatrixKind.BINOM_NODES, nodes=nodes)),
                       from_fn(n, n, lambda i, j: binomial(nodes[j - 1], i - 1)))
@@ -175,6 +180,19 @@ def test_build_validation():
         build(MatrixSpec(MatrixKind.BINOM_NODES))
     with pytest.raises(ValueError):
         build(MatrixSpec(MatrixKind.PASCAL, n=0))
+
+
+@pytest.mark.parametrize("spec, unread", [
+    (MatrixSpec(MatrixKind.PASCAL, n=3, k=2), "pascal does not take k"),
+    (MatrixSpec(MatrixKind.BINOM_NODES, nodes=(1, 2, 4), a=3), "binom-nodes does not take a"),
+    (MatrixSpec(MatrixKind.BINOM_NODES, n=3, nodes=(1, 2)), "binom-nodes does not take n"),
+    (MatrixSpec(MatrixKind.BINOM_ODD, n=2, a=0, b=1), "binom-odd does not take a, b"),
+    (MatrixSpec(MatrixKind.ROW_SHIFT, n=3, k=1, nodes=()), "row-shift does not take nodes"),
+    (MatrixSpec(MatrixKind.BINOM_AFFINE, n=3, a=1, b=0, k=1), "binom-affine does not take k"),
+])
+def test_build_rejects_fields_its_kind_does_not_read(spec, unread):
+    with pytest.raises(ValueError, match=unread):
+        build(spec)
 
 
 def test_pascal_product_matches_closed_form():
