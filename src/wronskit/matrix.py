@@ -1,5 +1,10 @@
 """Immutable matrices over the exact rings used here (int, Fraction,
-TrigPoly), each a tuple of row tuples, read a row at a time: a product over
+TrigPoly), each a tuple of row tuples, read a row at a time, that caches its
+ring, the widest type among its entries: the constructors that know it
+(unit-lower matrices, integer products, transposes, conjugate_hankel and the
+named families of structured.build) set it, and any other matrix learns it
+from one scan of its entries when a product, determinant or rank first needs
+it, refusing an entry of any other type.  The operations: a product over
 Z and Q that builds each output row as a combination of the right factor's
 rows, one per nonzero entry of the left row, so a sparse left factor costs
 only its nonzero entries and an int product shares each row it passes
@@ -33,9 +38,12 @@ Entry = Any  # int | Fraction | TrigPoly
 
 class ExactMatrix:
     """Immutable matrix held as a tuple of row tuples; rows are immutable
-    tuples, shared between matrices, never copied."""
+    tuples, shared between matrices, never copied.  ``_ring`` caches the
+    widest entry type (int, then Fraction, then TrigPoly): the constructors
+    that know it set it, and otherwise the first product, determinant or
+    rank fills it with one scan of the entries."""
 
-    __slots__ = ("_r", "_cols")
+    __slots__ = ("_r", "_cols", "_ring")
 
     def __init__(self, rows: Iterable[Iterable[Entry]]):
         data = tuple(map(tuple, rows))
@@ -46,6 +54,17 @@ class ExactMatrix:
             raise ValueError("rows have unequal lengths")
         self._r = data
         self._cols = width
+        self._ring = None
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[Entry, ...], ...], cols: int, ring: type) -> "ExactMatrix":
+        """Wrap finished row tuples, each of length cols, whose widest entry
+        type is ring, without copying or checking them."""
+        m = cls.__new__(cls)
+        m._r = rows
+        m._cols = cols
+        m._ring = ring
+        return m
 
     @classmethod
     def from_fn(cls, rows: int, cols: int, fn: Callable[[int, int], Entry]) -> "ExactMatrix":
@@ -66,8 +85,8 @@ class ExactMatrix:
             row[i] = 1
             if i >= start:
                 row[i - offset] = 1
-            rows.append(row)
-        return cls(rows)
+            rows.append(tuple(row))
+        return cls._of(tuple(rows), n, int)
 
     @property
     def rows(self) -> int:
@@ -113,12 +132,13 @@ class ExactMatrix:
         if self._cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self._cols} @ {other.rows}x{other._cols}")
-        kinds = self._kinds() | other._kinds()
-        if TrigPoly in kinds:
+        rings = {self._entry_ring(), other._entry_ring()}
+        if TrigPoly in rings:
             raise TypeError("matrix products need integer or rational entries")
         cols = other._cols
-        if Fraction not in kinds:
-            return ExactMatrix(_row_combinations(self._r, other._r, cols))
+        if Fraction not in rings:
+            return ExactMatrix._of(
+                tuple(map(tuple, _row_combinations(self._r, other._r, cols))), cols, int)
         # left row i is scaled to ints by scales[i], the whole right factor by one lcm
         left, scales = self._integer_rows(True)
         common = math.lcm(*[v.denominator for v in chain.from_iterable(other._r)])
@@ -130,16 +150,21 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(zip(*self._r))
+        return ExactMatrix._of(tuple(zip(*self._r)), len(self._r), self._ring)
 
-    def _kinds(self) -> set[type]:  # the entry types: one C-level pass
-        return set(map(type, chain.from_iterable(self._r)))
+    def _entry_ring(self) -> type:
+        """The widest entry type, int, Fraction or TrigPoly: the cached
+        ``_ring``, filled by ``_scan_ring`` on first use."""
+        ring = self._ring
+        if ring is None:
+            self._ring = ring = _scan_ring(self._r)
+        return ring
 
     def _integer_rows(self, rational: bool) -> tuple[list[list[int]], list[int] | None]:
         """The rows as lists of ints, each scaled by the lcm of its entries'
         denominators, and those per-row scales.  ``rational`` says whether
-        an entry may be a Fraction (the caller's type probe); if not, the
-        rows come back as lists of their entries, with no scales."""
+        an entry may be a Fraction (the matrix's ring); if not, the rows
+        come back as lists of their entries, with no scales."""
         if not rational:
             return list(map(list, self._r)), None
         scales = [math.lcm(*[v.denominator for v in row]) for row in self._r]
@@ -205,9 +230,9 @@ class ExactMatrix:
         rows = self._r
         if len(rows) != self._cols:
             raise ValueError("determinant needs a square matrix")
-        kinds = self._kinds()
-        if TrigPoly not in kinds:
-            return self._bareiss(Fraction in kinds)[1]
+        ring = self._entry_ring()
+        if ring is not TrigPoly:
+            return self._bareiss(ring is Fraction)[1]
         memo: dict[int, Entry] = {}
 
         def minor(mask: int) -> Entry:
@@ -238,10 +263,10 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank by the Bareiss elimination.  Entries must embed in the
         rationals; TrigPoly matrices have no rank here."""
-        kinds = self._kinds()
-        if TrigPoly in kinds:
+        ring = self._entry_ring()
+        if ring is TrigPoly:
             raise TypeError("rank needs integer or rational entries")
-        return self._bareiss(Fraction in kinds)[0]
+        return self._bareiss(ring is Fraction)[0]
 
     def interleave_split(self) -> tuple["ExactMatrix", "ExactMatrix"]:
         """Split a checkerboard matrix of even order 2m into its odd/odd and
@@ -286,6 +311,20 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self._cols})"
 
 
+_RINGS = frozenset({int, Fraction, TrigPoly})
+
+
+def _scan_ring(rows: tuple[tuple[Entry, ...], ...]) -> type:
+    """The widest type among the entries of rows, from one C-level pass over
+    them; TypeError for an entry outside int, Fraction and TrigPoly (a bool
+    or a float, say), which no exact operation here can take."""
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if not kinds <= _RINGS:
+        bad = ", ".join(sorted(t.__name__ for t in kinds - _RINGS))
+        raise TypeError(f"matrix entries must be int, Fraction or TrigPoly, not {bad}")
+    return TrigPoly if TrigPoly in kinds else Fraction if Fraction in kinds else int
+
+
 def _row_combinations(left: Iterable[Sequence[int]], right: Sequence[Sequence[int]],
                       cols: int) -> Iterable[Iterable[int]]:
     """Per left row, the sum of e * right[k] over its nonzero entries e at k,
@@ -316,7 +355,7 @@ def conjugate_hankel(stack: ExactMatrix, h: Sequence[Entry]) -> ExactMatrix:
     if len(h) != 2 * k - 1:
         raise ValueError(f"a Hankel matrix of order {k} needs {2 * k - 1} values, got {len(h)}")
     rows = stack._r
-    if stack._kinds() != {int} or min(map(min, rows)) < 0:
+    if stack._entry_ring() is not int or min(map(min, rows)) < 0:
         raise ValueError("Hankel conjugation needs a matrix of nonnegative ints")
     width = 2 * max(map(sum, rows)).bit_length()
     mask = (1 << width) - 1
@@ -332,8 +371,8 @@ def conjugate_hankel(stack: ExactMatrix, h: Sequence[Entry]) -> ExactMatrix:
                 coeffs = ((prod >> (t * width)) & mask for t in range(len(h)))
                 memo[prod] = got = TrigPoly.sum_of_products((c, v, 1) for c, v in zip(coeffs, h) if c)
             line.append(got)
-        out.append(line)
-    return ExactMatrix(out)
+        out.append(tuple(line))
+    return ExactMatrix._of(tuple(out), len(out), TrigPoly)
 
 
 def first_difference(got: ExactMatrix, want: ExactMatrix) -> str:

@@ -100,21 +100,25 @@ def build(spec: MatrixSpec) -> ExactMatrix:
     if kind is MatrixKind.LOWER_HALVING:
         n = spec.n
         _need_size(n)
-        # (-1/2)^d C(i-1+d, d) = C(-i, d) / 2^d at d = i - j, read right to left
-        return ExactMatrix(
-            [Fraction(c, 1 << d) for d, c in enumerate(binomial_column(-i, i))][::-1]
-            + [0] * (n - i) for i in range(1, n + 1))
+        # (-1/2)^d C(i-1+d, d) = C(-i, d) / 2^d at d = i - j, read right to left;
+        # the diagonal entry (d = 0) is the Fraction 1
+        rows = tuple(
+            tuple([Fraction(c, 1 << d) for d, c in enumerate(binomial_column(-i, i))][::-1]
+                  + [0] * (n - i)) for i in range(1, n + 1))
+        return ExactMatrix._of(rows, n, Fraction)
     if kind is MatrixKind.SCALED_PASCAL:
         _need_size(spec.n)
         # row i is 2^i times column i of the Pascal rows (0-indexed)
         pascal = [binomial_column(j, spec.n) for j in range(spec.n)]
-        return ExactMatrix([c << i for c in col] for i, col in enumerate(zip(*pascal)))
+        rows = tuple(tuple([c << i for c in col]) for i, col in enumerate(zip(*pascal)))
+        return ExactMatrix._of(rows, spec.n, int)
     if kind is MatrixKind.BIDIAGONAL:
         _need_size(spec.n)
         return ExactMatrix.unit_lower(spec.n, 1, 1)
     if kind is MatrixKind.PASCAL:
         _need_size(spec.n)
-        return ExactMatrix(binomial_column(i, spec.n) for i in range(spec.n))
+        rows = tuple(tuple(binomial_column(i, spec.n)) for i in range(spec.n))
+        return ExactMatrix._of(rows, spec.n, int)
     if kind is MatrixKind.BINOM_ODD:
         _need_size(spec.n)
         return _binomial_nodes_matrix(range(1, 2 * spec.n + 2, 2))
@@ -135,9 +139,11 @@ def build(spec: MatrixSpec) -> ExactMatrix:
 
 def _binomial_nodes_matrix(nodes) -> ExactMatrix:
     """The square matrix C(x_j, i-1) over the nodes x_1 .. x_size: column j
-    is the running-product column ``binomial_column(x_j, size)``."""
+    is the running-product column ``binomial_column(x_j, size)``, all ints
+    for an integral node and Fractions below row 1 for any other."""
     size = len(nodes)
-    return ExactMatrix(zip(*[binomial_column(x, size) for x in nodes]))
+    ring = Fraction if size > 1 and any(x.denominator != 1 for x in nodes) else int
+    return ExactMatrix._of(tuple(zip(*[binomial_column(x, size) for x in nodes])), size, ring)
 
 
 def _need_size(n: int) -> None:
@@ -198,8 +204,8 @@ def det_identity(spec: MatrixSpec) -> VerificationReport:
     """Compare the computed determinant of a binomial-kind matrix with its
     closed form, both exact."""
     started = time.perf_counter()
-    expected = det_closed_form(spec)
     computed = build(spec).determinant()
+    expected = det_closed_form(spec)
     return finish_report("det-closed-form", _spec_params(spec), Fraction(expected), Fraction(computed), started)
 
 

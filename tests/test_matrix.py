@@ -4,7 +4,21 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wronskit import ExactMatrix, Trig, TrigPoly, basis_element, first_difference
+from wronskit import (
+    ChainSpec,
+    ExactMatrix,
+    MatrixKind,
+    MatrixSpec,
+    Trig,
+    TrigPoly,
+    basis_element,
+    build,
+    first_difference,
+    ladder_wronskian,
+    pascal_product,
+)
+from wronskit import matrix
+from wronskit.independence import _double_shift_stack
 from wronskit.matrix import conjugate_hankel
 from oracles import (
     determinant_by_permutations,
@@ -461,3 +475,115 @@ def test_first_difference_reporting():
 def test_equality_requires_matching_shape():
     assert ExactMatrix([[1, 2]]) != ExactMatrix([[1], [2]])
     assert ExactMatrix([[1, 2]]) == ExactMatrix([[1, 2]])
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True])
+def test_entries_outside_the_exact_rings_are_refused(bad):
+    m = ExactMatrix([[bad, 1], [1, 1]])
+    ints = ExactMatrix([[1, 2], [3, 4]])
+    name = type(bad).__name__
+    for op in (lambda: m @ ints, lambda: ints @ m, m.determinant, m.rank,
+               lambda: conjugate_hankel(m, [S, C, S])):
+        with pytest.raises(TypeError, match=f"must be int, Fraction or TrigPoly, not {name}"):
+            op()
+    # a TrigPoly operand keeps its own messages
+    ring = ExactMatrix([[S, 0], [1, C]])
+    with pytest.raises(TypeError, match="matrix products need integer or rational entries"):
+        ring @ ints
+    with pytest.raises(TypeError, match="rank needs integer or rational entries"):
+        ring.rank()
+
+
+def _check_ring(m: ExactMatrix, declared: bool) -> None:
+    """m's ring, declared by its constructor or not, is what a fresh scan of
+    its entries gives, and m renders as the same rows built by ExactMatrix."""
+    assert (m._ring is not None) == declared
+    fresh = ExactMatrix([list(m.row(i)) for i in range(m.rows)])
+    assert fresh._ring is None
+    assert m._entry_ring() is fresh._entry_ring() is matrix._scan_ring(m._r)
+    assert str(m) == str(fresh) and m.to_json_dict() == fresh.to_json_dict() and m == fresh
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(_rows(s[0], s[1]), _rows(s[1], s[2]))),
+    st.integers(1, 6), st.integers(1, 5), st.integers(0, 6))
+@settings(deadline=None, max_examples=100)
+def test_products_transposes_and_unit_lower_declare_their_scanned_ring(factors, n, offset, start):
+    a, b = ExactMatrix(factors[0]), ExactMatrix(factors[1])
+    product = a @ b
+    # an int product declares int; a product with a Fraction factor is left to its first use
+    _check_ring(product, declared=a._ring is int and b._ring is int)
+    _check_ring(product.transpose(), declared=product._ring is not None)
+    offset = min(offset, n)
+    unit = ExactMatrix.unit_lower(n, offset, max(start, offset))
+    _check_ring(unit, declared=True)
+    _check_ring(unit.transpose(), declared=True)
+    _check_ring(unit @ unit, declared=True)
+
+
+RATS = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+def _spec(kind: MatrixKind):
+    sizes = st.integers(1, 7)
+    if kind is MatrixKind.ROW_SHIFT:
+        return st.integers(2, 7).flatmap(
+            lambda n: st.builds(MatrixSpec, st.just(kind), st.just(n), st.integers(1, n - 1)))
+    if kind is MatrixKind.DOUBLE_SHIFT:
+        return st.integers(3, 8).flatmap(lambda n: st.builds(
+            MatrixSpec, st.just(kind), st.just(n), st.integers(1, (n + 1) // 2 - 1)))
+    if kind is MatrixKind.BINOM_AFFINE:
+        return st.builds(MatrixSpec, st.just(kind), sizes, a=RATS, b=RATS)
+    if kind is MatrixKind.BINOM_NODES:
+        return st.builds(MatrixSpec, st.just(kind),
+                         nodes=st.lists(RATS, min_size=1, max_size=6).map(tuple))
+    return st.builds(MatrixSpec, st.just(kind), sizes)
+
+
+@pytest.mark.parametrize("kind", list(MatrixKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(deadline=None, max_examples=40)
+def test_every_built_kind_declares_its_scanned_ring(kind, data):
+    # integral Fractions (4/2) among the affine and node inputs build int columns
+    m = build(data.draw(_spec(kind)))
+    _check_ring(m, declared=True)
+    _check_ring(m.transpose(), declared=True)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.randoms())
+@settings(deadline=None, max_examples=30)
+def test_hankel_conjugation_declares_trigpoly(order, height, rng):
+    h = [random_trigpoly(rng, terms=2, bound=3) for _ in range(2 * order - 1)]
+    if rng.random() < 0.25:  # int Hankel values still give TrigPoly entries
+        h = [rng.randint(0, 3) for _ in h]
+    stack = ExactMatrix([[rng.randint(0, 3) for _ in range(order)] for _ in range(height)])
+    _check_ring(conjugate_hankel(stack, h), declared=True)
+
+
+@given(st.integers(0, 4), st.integers(0, 3), st.sampled_from(list(Trig)), st.integers(1, 6))
+@settings(deadline=None, max_examples=30)
+def test_ladder_wronskian_ring_is_its_scan(n, shift, kind, count):
+    _check_ring(ladder_wronskian(ChainSpec(n, shift, kind, count)), declared=False)
+
+
+def test_shift_products_scan_no_entry_and_a_rational_product_each_factor_once(monkeypatch):
+    scanned = []
+    scan = matrix._scan_ring
+
+    def counted(rows):
+        scanned.append(id(rows))
+        return scan(rows)
+
+    monkeypatch.setattr(matrix, "_scan_ring", counted)
+    assert pascal_product(29) == build(MatrixSpec(MatrixKind.PASCAL, n=29))
+    assert _double_shift_stack.__wrapped__(12)[1] == "ok"
+    assert scanned == []
+    rng = Random(23)
+    a, b = random_rational_matrix(rng, 5, mixed=True), random_int_matrix(rng, 5, 5)
+    product = a @ b
+    for op in (lambda: a @ b, lambda: b @ a, lambda: a.transpose() @ b, a.determinant, a.rank, b.rank):
+        op()
+    assert sorted(scanned) == sorted({id(a._r), id(b._r)})
+    product.determinant()
+    product.determinant()
+    assert scanned.count(id(product._r)) == 1 and len(scanned) == 3

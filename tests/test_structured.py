@@ -166,6 +166,15 @@ def test_det_identity_nodes():
     assert rep.passed
 
 
+@pytest.mark.parametrize("spec, message", [
+    (MatrixSpec(MatrixKind.BINOM_AFFINE, n=3, b=1), "binom-affine needs a and b"),
+    (MatrixSpec(MatrixKind.BINOM_NODES), "binom-nodes needs a nonempty node tuple"),
+])
+def test_det_identity_validates_the_spec_before_its_closed_form(spec, message):
+    with pytest.raises(ValueError, match=message):
+        det_identity(spec)
+
+
 def test_det_closed_form_undefined_for_unit_kinds():
     with pytest.raises(ValueError):
         det_closed_form(MatrixSpec(MatrixKind.PASCAL, n=3))
