@@ -53,7 +53,6 @@ from .trigring import (
     harmonic_step,
     is_constant,
     ladder_rung,
-    monomial_derivative,
 )
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
     "is_constant",
     "ladder_rung",
     "ladder_wronskian",
-    "monomial_derivative",
     "pascal_product",
     "row_shift_matrix",
     "scaled_coordinate_matrix",

@@ -33,7 +33,6 @@ from .trigring import (
     differentiate,  # noqa: F401  not called here; perfbench's tracer test checks it is patched
     is_constant,
     ladder_rung,
-    monomial_derivative,
 )
 
 
@@ -60,7 +59,7 @@ def wronskian_hankel(spec: ChainSpec) -> ExactMatrix:
     is Hankel: entry (i, j) = D^(shift+i+j-2) f.
     """
     return ExactMatrix([
-        [monomial_derivative(spec.n, spec.kind, spec.shift + i + j) for j in range(spec.count)]
+        [ladder_rung(spec.n, spec.kind, spec.shift + i + j, 0) for j in range(spec.count)]
         for i in range(spec.count)])
 
 
@@ -81,7 +80,7 @@ def conjugated_wronskian(spec: ChainSpec) -> ExactMatrix:
     """S W S^T for the Wronskian matrix W of the chain, by conjugate_hankel
     over W's Hankel values D^(shift+t) f: the reference for ladder_wronskian.
     S is unit lower triangular, so the determinant is W's."""
-    h = [monomial_derivative(spec.n, spec.kind, spec.shift + t) for t in range(2 * spec.count - 1)]
+    h = [ladder_rung(spec.n, spec.kind, spec.shift + t, 0) for t in range(2 * spec.count - 1)]
     return conjugate_hankel(_double_shift_stack(spec.count)[0], h)
 
 
@@ -151,7 +150,7 @@ def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Tr
     if steps < 1 or shift < 0 or n < 0:
         raise ValueError("transform needs steps >= 1, shift >= 0, n >= 0")
     size = steps + 1
-    h = [monomial_derivative(n, kind, shift + 2 * t) for t in range(2 * size - 1)]
+    h = [ladder_rung(n, kind, shift + 2 * t, 0) for t in range(2 * size - 1)]
     grid = ExactMatrix([[h[i + j] for j in range(size)] for i in range(size)])
     conj = conjugate_hankel(pascal_product(size), h)
     target = ExactMatrix([[ladder_rung(n, kind, shift, i + j) for j in range(size)]
@@ -269,7 +268,7 @@ def verify_basis_columns(n: int) -> VerificationReport:
     started = time.perf_counter()
     mat = coordinate_matrix(n)
     for j in range(1, 2 * n + 2 + 1):
-        coords = coordinates_in_basis(monomial_derivative(n, Trig.SIN, j), n)
+        coords = coordinates_in_basis(ladder_rung(n, Trig.SIN, j, 0), n)
         column = [mat[i, j - 1] for i in range(2 * n + 2)]
         if coords != column:
             return finish_report("coordinate-columns", {"n": n}, "ok",
@@ -281,19 +280,24 @@ def verify_full_rank(n: int) -> VerificationReport:
     """The coordinate matrix of D f .. D^(2n+2) f must have full rank 2n+2,
     independence of the first 2n+2 derivatives by the coordinate route.
 
+    The rank is read off the scaled matrix R^-1 M C (scaled_coordinate_matrix):
+    its diagonal scales are nonzero, so it has M's rank whatever M holds, and
+    a square matrix has full rank exactly when its determinant is nonzero.
+    Only a singular scaled matrix is eliminated for its rank; the raw M, whose
+    entries carry the falling factorials, never is.
+
     Also factors the scaled matrix through its interleave split: the
     determinant must equal det(odd block) * det(even block) =
     2^C(n+1,2) * 2^C(n+1,2) = 2^(n(n+1)).  The note records that exponent
     next to the inconsistent quoted closed form 2^(n(n-1)).
     """
     started = time.perf_counter()
-    mat = coordinate_matrix(n)
-    rank = mat.rank()
-    scaled = scaled_coordinate_matrix(mat, n)
+    scaled = scaled_coordinate_matrix(coordinate_matrix(n), n)
     pattern_ok = scaled == binomial_pattern_matrix(n)
     odd, even = scaled.interleave_split()
-    det_product = Fraction(odd.determinant()) * Fraction(even.determinant())
-    det_whole = Fraction(scaled.determinant())
+    det_product = odd.determinant() * even.determinant()
+    det_whole = scaled.determinant()
+    rank = 2 * n + 2 if det_whole else scaled.rank()
     closed = 2 ** (n * (n + 1))
     quoted = 2 ** (n * (n - 1))
     note = (f"det of scaled matrix = {det_whole} = 2^{n * (n + 1)} "

@@ -307,13 +307,6 @@ def is_constant(u: TrigPoly) -> Coeff | None:
     return None
 
 
-def monomial_derivative(power: int, kind: Trig, order: int) -> TrigPoly:
-    """order-th derivative of x^power * sin x (or cos x): the k = 0 rung.
-    The whole derivative family lives in span{x^i sin x, x^i cos x : i <= power},
-    so results stay small whatever the order."""
-    return ladder_rung(power, kind, order, 0)
-
-
 @lru_cache(maxsize=None)
 def ladder_rung(power: int, kind: Trig, order: int, k: int) -> TrigPoly:
     """D^order (D^2+1)^k (x^power * sin x or cos x): one rung of the

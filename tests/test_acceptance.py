@@ -29,8 +29,8 @@ from wronskit import (
     differentiate,
     harmonic_step,
     is_constant,
+    ladder_rung,
     ladder_wronskian,
-    monomial_derivative,
     scaled_coordinate_matrix,
     trigring,
     verify_dependence,
@@ -43,6 +43,7 @@ from wronskit import (
     verify_wronskian_transform,
     wronskian_hankel,
 )
+from wronskit.cli import SuiteConfig, run_checks
 from oracles import (
     central_difference,
     determinant_by_permutations,
@@ -159,6 +160,19 @@ def test_even_from_odd_at_n_100():
     with criterion("binom-even-from-odd-100", 2.0):
         rep = verify_even_from_odd(100)
         assert rep.passed, rep.line()
+
+
+def test_full_rank_at_n_60():
+    with criterion("coordinate-full-rank-60", 5.0):
+        rep = verify_full_rank(60)
+        assert rep.passed and rep.computed == "rank 122", rep.line()
+
+
+def test_coords_suite_to_n_40():
+    with criterion("coords-suite-40", 5.0):
+        reports, _ = run_checks(SuiteConfig(suites=("coords",), max_n=40))
+        assert len(reports) == 80
+        assert all(rep.passed for _, rep in reports), [rep.line() for _, rep in reports if not rep.passed]
 
 
 def test_cli_pascal_suite_to_n_60():
@@ -320,8 +334,8 @@ def test_ring_correctness():
         at_zero = (Fraction(0), Fraction(0), Fraction(1))  # x = 0, s = 0, c = 1
         for n in range(0, 7):
             for k in range(n + 1):
-                assert eval_exact(monomial_derivative(n, Trig.SIN, k), *at_zero) == 0
-            assert eval_exact(monomial_derivative(n, Trig.SIN, n + 1), *at_zero) == math.factorial(n + 1)
+                assert eval_exact(ladder_rung(n, Trig.SIN, k, 0), *at_zero) == 0
+            assert eval_exact(ladder_rung(n, Trig.SIN, n + 1, 0), *at_zero) == math.factorial(n + 1)
         rng = random.Random(20260817)
         for _ in range(20):
             u = random_trigpoly(rng)

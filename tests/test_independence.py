@@ -24,7 +24,6 @@ from wronskit import (
     is_constant,
     ladder_rung,
     ladder_wronskian,
-    monomial_derivative,
     row_shift_matrix,
     scaled_coordinate_matrix,
     two_by_two,
@@ -38,7 +37,7 @@ from wronskit import (
 )
 from wronskit import independence, trigring
 from wronskit.matrix import conjugate_hankel
-from oracles import determinant_by_permutations
+from oracles import determinant_by_permutations, rank_by_elimination
 
 S = basis_element(0, Trig.SIN)
 C = basis_element(0, Trig.COS)
@@ -63,8 +62,8 @@ def test_derivative_chain_example():
 
 def test_chain_shift_offsets_orders():
     shifted = wronskian_hankel(ChainSpec(n=2, shift=3, kind=Trig.COS, count=2)).row(0)
-    assert shifted[0] == monomial_derivative(2, Trig.COS, 3)
-    assert shifted[1] == monomial_derivative(2, Trig.COS, 4)
+    assert shifted[0] == ladder_rung(2, Trig.COS, 3, 0)
+    assert shifted[1] == ladder_rung(2, Trig.COS, 4, 0)
 
 
 def test_wronskian_matrix_is_hankel():
@@ -72,7 +71,7 @@ def test_wronskian_matrix_is_hankel():
     assert (m.rows, m.cols) == (4, 4)
     for i in range(4):
         for j in range(4):
-            assert m[i, j] == monomial_derivative(2, Trig.SIN, 1 + i + j)
+            assert m[i, j] == ladder_rung(2, Trig.SIN, 1 + i + j, 0)
     # anti-diagonals constant
     assert m[0, 2] == m[1, 1] == m[2, 0]
 
@@ -126,13 +125,15 @@ def fresh_caches():
 def test_ladder_rung_is_a_harmonic_step_power(fresh_caches):
     for n in range(6):
         for kind in (Trig.SIN, Trig.COS):
+            derivative = basis_element(n, kind)  # D^order f by the ring's own rule
             for order in range(5):
-                u = monomial_derivative(n, kind, order)
+                u = derivative
                 for k in range(n + 3):
                     rung = ladder_rung(n, kind, order, k)
                     assert rung == u, (n, kind, order, k)
                     assert (rung == 0) == (k >= n + 1), (n, kind, order, k)
                     u = harmonic_step(u)
+                derivative = differentiate(derivative)
     # a cold rung is one closed form, whatever its k and order
     n = 400
     assert is_constant(two_by_two(n, 2, Trig.COS)) == -(2 ** n * math.factorial(n)) ** 2
@@ -232,7 +233,7 @@ def test_dependence_reports():
 def test_even_hankel_transform_small_case_detail():
     # steps=1, n=1: conjugated corner entry must be (D^2+1)^2 f = 0
     f = basis_element(1, Trig.SIN)
-    h = [f, monomial_derivative(1, Trig.SIN, 2), monomial_derivative(1, Trig.SIN, 4)]
+    h = [f, ladder_rung(1, Trig.SIN, 2, 0), ladder_rung(1, Trig.SIN, 4, 0)]
     grid = ExactMatrix([[h[0], h[1]], [h[1], h[2]]])
     stack = ExactMatrix([[1, 0], [1, 1]])
     conj = conjugate_hankel(stack, h)
@@ -293,7 +294,7 @@ def test_coordinate_basis_layout():
 
 def test_coordinates_in_basis_roundtrip():
     n = 2
-    u = monomial_derivative(n, Trig.SIN, 3)
+    u = ladder_rung(n, Trig.SIN, 3, 0)
     coords = coordinates_in_basis(u, n)
     total = 0 * u
     for value, (power, kind) in zip(coords, coordinate_basis(n)):
@@ -337,7 +338,7 @@ def test_coordinate_columns_match_symbolic_derivatives():
     for n in (1, 2):
         a = coordinate_matrix(n)
         for j in range(1, 2 * n + 3):
-            coords = coordinates_in_basis(monomial_derivative(n, Trig.SIN, j), n)
+            coords = coordinates_in_basis(ladder_rung(n, Trig.SIN, j, 0), n)
             assert coords == [a[i, j - 1] for i in range(2 * n + 2)]
 
 
@@ -368,6 +369,29 @@ def test_full_rank_reports():
         assert rep.expected == f"rank {2 * n + 2}"
         assert f"n(n+1) = {n * (n + 1)}" in rep.note
         assert "inconsistent" in rep.note
+
+
+def _column_3_as_column_1(m: ExactMatrix) -> ExactMatrix:
+    """m with its third column replaced by its first: both have odd index, so a
+    checkerboard stays one, but the matrix is singular."""
+    return ExactMatrix([[*row[:2], row[0], *row[3:]] for row in map(m.row, range(m.rows))])
+
+
+def test_full_rank_of_a_singular_matrix_falls_back_to_elimination(monkeypatch):
+    # the nonzero row and column scales keep the rank, whatever the matrix holds
+    for n in range(1, 11):
+        m = coordinate_matrix(n)
+        for mat in (m, _column_3_as_column_1(m)):
+            assert scaled_coordinate_matrix(mat, n).rank() == mat.rank()
+    monkeypatch.setattr(independence, "coordinate_matrix",
+                        lambda n: _column_3_as_column_1(coordinate_matrix(n)))
+    for n in (1, 2, 5):
+        rank = rank_by_elimination(_column_3_as_column_1(coordinate_matrix(n)))
+        assert rank < 2 * n + 2
+        rep = verify_full_rank(n)
+        assert not rep.passed, rep.line()
+        assert rep.computed.startswith(f"rank {rank}; "), rep.computed
+        assert "determinant 0 != " in rep.computed
 
 
 def test_full_rank_note_distinguishes_exponents():

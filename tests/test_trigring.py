@@ -14,7 +14,6 @@ from wronskit import (
     harmonic_step,
     is_constant,
     ladder_rung,
-    monomial_derivative,
     trigring,
 )
 from oracles import CIRCLE_POINTS, central_difference, eval_exact, eval_float, random_trigpoly
@@ -79,7 +78,7 @@ def test_derivative_chain_of_x_sin_x():
     f = basis_element(1, Trig.SIN)
     d1 = differentiate(f)
     assert d1 == S + basis_element(1, Trig.COS)
-    d4 = monomial_derivative(1, Trig.SIN, 4)
+    d4 = ladder_rung(1, Trig.SIN, 4, 0)
     assert d4 == f - 4 * C
 
 
@@ -87,12 +86,12 @@ def test_a_cold_derivative_of_any_order():
     # Leibniz: D^n (x sin x) = x sin^(n) x + n sin^(n-1) x, and 5000 = 0 mod 4;
     # the rung is one closed form, so no lower order is computed
     trigring.ladder_rung.cache_clear()
-    assert monomial_derivative(1, Trig.SIN, 5000) == TrigPoly({(0, 1): -5000}, {(1, 0): 1})
+    assert ladder_rung(1, Trig.SIN, 5000, 0) == TrigPoly({(0, 1): -5000}, {(1, 0): 1})
     # Leibniz again: D^n (x^2 sin x) = x^2 sin^(n) + 2n x sin^(n-1) + n(n-1) sin^(n-2),
     # and n = 3 mod 4, so sin^(n) = -cos, sin^(n-1) = -sin, sin^(n-2) = cos
     n = 10 ** 6 + 3
-    assert monomial_derivative(2, Trig.SIN, n) == TrigPoly({(2, 1): -1, (0, 1): n * (n - 1)},
-                                                           {(1, 0): -2 * n})
+    assert ladder_rung(2, Trig.SIN, n, 0) == TrigPoly({(2, 1): -1, (0, 1): n * (n - 1)},
+                                                   {(1, 0): -2 * n})
 
 
 @st.composite
@@ -144,8 +143,8 @@ def test_initial_conditions():
     at_zero = (Fraction(0), Fraction(0), Fraction(1))  # x = 0, s = 0, c = 1
     for n in range(0, 7):
         for k in range(n + 1):
-            assert eval_exact(monomial_derivative(n, Trig.SIN, k), *at_zero) == 0
-    assert eval_exact(monomial_derivative(1, Trig.SIN, 2), *at_zero) == 2
+            assert eval_exact(ladder_rung(n, Trig.SIN, k, 0), *at_zero) == 0
+    assert eval_exact(ladder_rung(1, Trig.SIN, 2, 0), *at_zero) == 2
 
 
 def test_is_constant():
@@ -157,7 +156,7 @@ def test_is_constant():
 
 
 def test_rendering_is_deterministic_and_ordered():
-    u = monomial_derivative(1, Trig.SIN, 2)
+    u = ladder_rung(1, Trig.SIN, 2, 0)
     assert str(u) == "-x*s + 2*c"
     assert str(TrigPoly.zero()) == "0"
     assert str(TrigPoly.constant(Fraction(-3, 2))) == "-3/2"
