@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -29,7 +28,7 @@ from .independence import (
     verify_wronskian_transform,
     wronskian_hankel,
 )
-from .report import VerificationReport
+from .report import Record, VerificationReport
 from .structured import (
     CLOSED_FORM_KINDS,
     MatrixKind,
@@ -59,8 +58,8 @@ NODE_TUPLES = (
 )
 
 
-# Converters from a config-file value or a flag value to a SuiteConfig field.
-# List fields take a JSON list or a comma string, the form the flags take.
+# Converters from a config-file value or a flag value to a setting.
+# List settings take a JSON list or a comma string, the form the flags take.
 
 def _parts(value) -> list:
     if isinstance(value, str):
@@ -101,19 +100,45 @@ def _kinds(value) -> tuple[Trig, ...]:
     return tuple(dict.fromkeys(map(Trig, _parts(value))))
 
 
-def _setting(default, convert):
-    return field(default=default, metadata={"convert": convert})
+# setting name -> (default, converter); a SuiteConfig has these fields in this
+# order, the config file takes these keys and each flag sets the one it names
+SETTINGS: dict[str, tuple[object, Callable]] = {
+    "suites": (SUITES, _suites),
+    "max_n": (3, _integer),
+    "max_j": (None, _integer),
+    "shifts": ((0, 1, 2), _shifts),
+    "kinds": ((Trig.SIN, Trig.COS), _kinds),
+    "fmt": ("json", _text),
+    "output": (None, _text),
+}
 
 
-@dataclass
-class SuiteConfig:
-    suites: tuple[str, ...] = _setting(SUITES, _suites)
-    max_n: int = _setting(3, _integer)
-    max_j: int | None = _setting(None, _integer)
-    shifts: tuple[int, ...] = _setting((0, 1, 2), _shifts)
-    kinds: tuple[Trig, ...] = _setting((Trig.SIN, Trig.COS), _kinds)
-    fmt: str = _setting("json", _text)
-    output: str | None = _setting(None, _text)
+def _shown(name: str) -> str:
+    """A setting's default as its flag spells it."""
+    default = SETTINGS[name][0]
+    if default == SUITES:
+        return "all"
+    if isinstance(default, tuple):
+        return ",".join(str(getattr(item, "value", item)) for item in default)
+    return str(default)
+
+
+class SuiteConfig(Record):
+    """The settings of one verify run, given in SETTINGS order or by name; a
+    setting not given takes its default."""
+
+    __slots__ = tuple(SETTINGS)
+
+    def __init__(self, *values, **named):
+        if len(values) > len(SETTINGS):
+            raise TypeError(f"SuiteConfig takes at most {len(SETTINGS)} settings, got {len(values)}")
+        given = dict(zip(SETTINGS, values))
+        for name, value in named.items():
+            if name not in SETTINGS or name in given:
+                raise TypeError(f"SuiteConfig got an unknown or repeated setting {name!r}")
+            given[name] = value
+        for name, (default, _) in SETTINGS.items():
+            setattr(self, name, given.get(name, default))
 
     def validate(self) -> None:
         bad = [s for s in self.suites if s not in SUITES]
@@ -245,14 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run suites of checks and emit a report")
     verify.add_argument("--suite", dest="suites", action="append", default=None,
-                        help="suite name or comma list; repeatable; 'all' selects every suite")
-    verify.add_argument("--max-n", type=int, default=None, help="largest family parameter n")
+                        help="suite name or comma list; repeatable; 'all' selects every suite "
+                             f"(default: {_shown('suites')})")
+    verify.add_argument("--max-n", type=int, default=None,
+                        help=f"largest family parameter n (default: {_shown('max_n')})")
     verify.add_argument("--max-j", type=int, default=None,
                         help="largest column index for the identity sweeps (default: max-n)")
     verify.add_argument("--shifts", default=None,
-                        help="comma list of derivative shifts for the wronskian suite")
-    verify.add_argument("--kinds", default=None, help="comma list: sin,cos")
-    verify.add_argument("--format", dest="fmt", choices=("json", "markdown"), default=None)
+                        help="comma list of derivative shifts for the wronskian suite "
+                             f"(default: {_shown('shifts')})")
+    verify.add_argument("--kinds", default=None,
+                        help=f"comma list of sin and cos (default: {_shown('kinds')})")
+    verify.add_argument("--format", dest="fmt", choices=("json", "markdown"), default=None,
+                        help=f"report format (default: {_shown('fmt')})")
     verify.add_argument("--output", default=None, help="write the report here instead of stdout")
     verify.add_argument("--config", default=None, help="JSON config file; flags override it")
 
@@ -283,25 +313,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> SuiteConfig:
     """Merge the config file and the flags, flags last; a null or absent
-    value keeps the default.  Both go through the same per-field converter."""
+    value keeps the default.  Both go through the setting's one converter."""
     raw = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("the config file must hold a JSON object")
-        unknown = set(raw) - {f.name for f in fields(SuiteConfig)}
+        unknown = set(raw) - set(SETTINGS)
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     values = {}
-    for f in fields(SuiteConfig):
-        for given in (raw.get(f.name), getattr(args, f.name)):
+    for name, (_, convert) in SETTINGS.items():
+        for given in (raw.get(name), getattr(args, name)):
             if given is None:
                 continue
             try:
-                values[f.name] = f.metadata["convert"](given)
+                values[name] = convert(given)
             except ValueError as exc:
-                raise ValueError(f"{f.name}: {exc}") from None
+                raise ValueError(f"{name}: {exc}") from None
     config = SuiteConfig(**values)
     config.validate()
     return config

@@ -18,13 +18,12 @@ Both routes are kept separate on purpose so each can confirm the other.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import binomial, falling_factorial
 from .matrix import Entry, ExactMatrix, conjugate_hankel, first_difference
-from .report import VerificationReport, finish_report
+from .report import FrozenRecord, VerificationReport, finish_report
 from .structured import double_shift_matrix, pascal_product
 from .trigring import (
     Coeff,
@@ -36,19 +35,19 @@ from .trigring import (
 )
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(FrozenRecord):
     """A run of consecutive derivatives of f = x^n sin x or x^n cos x:
     orders shift, shift+1, ..., shift+count-1."""
 
-    n: int
-    shift: int = 0
-    kind: Trig = Trig.SIN
-    count: int = 1
+    __slots__ = ("n", "shift", "kind", "count")
 
-    def __post_init__(self):
-        if self.n < 0 or self.shift < 0 or self.count < 1:
+    def __init__(self, n: int, shift: int = 0, kind: Trig = Trig.SIN, count: int = 1):
+        if n < 0 or shift < 0 or count < 1:
             raise ValueError("chain needs n >= 0, shift >= 0, count >= 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "count", count)
 
 
 def wronskian_hankel(spec: ChainSpec) -> ExactMatrix:

@@ -1,14 +1,53 @@
-"""Structured pass/fail records shared by every verifier in the package."""
+"""Structured pass/fail records shared by every verifier in the package, and
+the base of its small value classes."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class Record:
+    """A value class with the semantics of a dataclass but without its import,
+    which would load inspect, ast, dis and tokenize into every fresh process:
+    the fields are the ``__slots__``, in order, and equality, repr and
+    pickling go by them.  Unhashable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrozenRecord(Record):
+    """A Record whose fields cannot be reassigned or deleted; it hashes by
+    them.  Its ``__init__`` sets each field with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class VerificationReport(FrozenRecord):
     """Outcome of one exact check.
 
     ``passed`` is defined as exact equality of the rendered ``expected`` and
@@ -17,13 +56,17 @@ class VerificationReport:
     bookkeeping) that do not affect the verdict.
     """
 
-    check: str
-    params: dict[str, Any]
-    expected: str
-    computed: str
-    passed: bool
-    millis: float
-    note: str = ""
+    __slots__ = ("check", "params", "expected", "computed", "passed", "millis", "note")
+
+    def __init__(self, check: str, params: dict[str, Any], expected: str, computed: str,
+                 passed: bool, millis: float, note: str = ""):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "millis", millis)
+        object.__setattr__(self, "note", note)
 
     def line(self) -> str:
         verdict = "pass" if self.passed else "FAIL"

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .combinatorics import Rat, binomial_column
 from .matrix import ExactMatrix, first_difference
-from .report import VerificationReport, finish_report
+from .report import FrozenRecord, VerificationReport, finish_report
 
 
 class MatrixKind(Enum):
@@ -33,8 +32,7 @@ class MatrixKind(Enum):
     BINOM_NODES = "binom-nodes"      # C(x_j, i-1)
 
 
-@dataclass(frozen=True)
-class MatrixSpec:
+class MatrixSpec(FrozenRecord):
     """One named matrix instance.
 
     ``n`` is the literal size for every kind except BINOM_ODD / BINOM_EVEN,
@@ -45,12 +43,16 @@ class MatrixSpec:
     its kind does not read.
     """
 
-    kind: MatrixKind
-    n: int = 0
-    k: int | None = None
-    a: Rat | None = None
-    b: Rat | None = None
-    nodes: tuple[Rat, ...] | None = None
+    __slots__ = ("kind", "n", "k", "a", "b", "nodes")
+
+    def __init__(self, kind: MatrixKind, n: int = 0, k: int | None = None, a: Rat | None = None,
+                 b: Rat | None = None, nodes: tuple[Rat, ...] | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def row_shift_matrix(n: int, k: int) -> ExactMatrix:

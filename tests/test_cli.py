@@ -107,6 +107,21 @@ def test_markdown_format(capsys):
     assert "**total** 2, **passed** 2, **failed** 0" in out
 
 
+def test_verify_help_shows_the_defaults(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--help"])
+    assert stop.value.code == 0
+    # one help entry per flag, with argparse's line wrapping undone
+    text = " ".join(capsys.readouterr().out.split())
+    entries = {entry.split()[0]: entry for entry in text.split(" --")[1:]}
+    assert entries["suite"].endswith("(default: all)")
+    assert entries["max-n"].endswith("(default: 3)")
+    assert entries["max-j"].endswith("(default: max-n)")
+    assert entries["shifts"].endswith("(default: 0,1,2)")
+    assert entries["kinds"].endswith("(default: sin,cos)")
+    assert entries["format"].endswith("(default: json)")
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suites": ["pascal"], "max_n": 6}))
