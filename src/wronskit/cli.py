@@ -13,8 +13,8 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .combinatorics import check_even_binomial_sum, check_odd_binomial_sum
 from .independence import (

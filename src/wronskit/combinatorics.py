@@ -1,9 +1,9 @@
 """Exact combinatorial primitives.
 
 Falling factorials, binomial coefficients with arbitrary rational upper
-argument (one at a time, or a whole column C(x, 0..size-1) as one running
-product), and the two binomial-sum identity checkers used by the
-determinant verifiers.
+argument (one at a time, or for an int upper argument a whole column
+C(x, 0..size-1) as one running product), and the two binomial-sum identity
+checkers used by the determinant verifiers.
 All arithmetic is over int / fractions.Fraction; nothing here rounds.
 """
 
@@ -54,30 +54,26 @@ def binomial(x: Rat, k: int) -> Rat:
     return Fraction(num, q ** k * math.factorial(k))
 
 
-def binomial_column(x: Rat, size: int) -> list[Rat]:
-    """[C(x, 0), ..., C(x, size-1)] as one running product, each entry the
-    value and type ``binomial(x, k)`` gives.  For an int x (a Fraction
-    with denominator 1 counts as one), C(x, i) = C(x, i-1) (x-i+1) // i, an
-    exact division for either sign of x.  For x = p/q with q > 1, the
-    numerator prod (p - t q) over t < i and the denominator q^i i! are
-    carried along as ints, and one Fraction is built per entry."""
+def common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over one common denominator, the lcm
+    of theirs: ([v * common for v in values], common)."""
+    common = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
+def binomial_column(x: int, size: int) -> list[int]:
+    """[C(x, 0), ..., C(x, size-1)] for an int x as one running product,
+    C(x, i) = C(x, i-1) (x-i+1) // i, an exact division for either sign of
+    x; each entry is the int ``binomial(x, k)`` gives."""
     if size < 0:
         raise ValueError("binomial column needs size >= 0")
-    if isinstance(x, Fraction) and x.denominator == 1:
-        x = int(x)
-    out: list[Rat] = [1] * min(size, 1)
-    if isinstance(x, int):
-        c = 1
-        for i in range(1, size):
-            c = c * (x - i + 1) // i
-            out.append(c)
-        return out
-    p, q = x.numerator, x.denominator
-    num = den = 1
+    if not isinstance(x, int):
+        raise TypeError(f"binomial column needs an int upper argument, got {x!r}")
+    out = [1] * min(size, 1)
+    c = 1
     for i in range(1, size):
-        num *= p - (i - 1) * q
-        den *= q * i
-        out.append(Fraction(num, den))
+        c = c * (x - i + 1) // i
+        out.append(c)
     return out
 
 

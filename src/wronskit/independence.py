@@ -236,20 +236,23 @@ def scaled_coordinate_matrix(mat: ExactMatrix, n: int) -> ExactMatrix:
     scale column j by (-1)^floor((2j+1)/4).
 
     The result must be the parity-gated binomial pattern C(j, floor((2i-1)/4)).
-    Raises if any scale factor would be zero.
+    mat holds ints; each scaled row is handed to ExactMatrix._over over its
+    falling factorial.  Raises if any scale factor would be zero.
     """
     size = 2 * n + 2
     if (mat.rows, mat.cols) != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix")
     col_signs = [-1 if ((2 * j + 1) // 4) % 2 else 1 for j in range(1, size + 1)]
-    out = []
+    rows = []
+    dens = []
     for i in range(1, size + 1):
         ff = falling_factorial(n, (2 * i - 1) // 4)
         if ff == 0:
             raise ValueError(f"zero scale factor at row {i}")
         sign = -1 if ((2 * i + 1) // 8) % 2 else 1
-        out.append([Fraction(v * sign * c, ff) for v, c in zip(mat.row(i - 1), col_signs)])
-    return ExactMatrix(out)
+        rows.append([sign * v * c for v, c in zip(mat.row(i - 1), col_signs)])
+        dens.append(ff)
+    return ExactMatrix._over(rows, dens, size)
 
 
 def binomial_pattern_matrix(n: int) -> ExactMatrix:

@@ -1,49 +1,46 @@
 """Immutable matrices over the exact rings used here (int, Fraction,
-TrigPoly), each a tuple of row tuples, read a row at a time, that caches its
-ring, the widest type among its entries: the constructors that know it
-(unit-lower matrices, integer products, transposes, conjugate_hankel and the
-named families of structured.build) set it, and any other matrix learns it
-from one scan of its entries when a product, determinant or rank first needs
-it, refusing an entry of any other type.  The operations: a product over
-Z and Q that builds each output row as a combination of the right factor's
-rows, one per nonzero entry of the left row, so a sparse left factor costs
-only its nonzero entries and an int product shares each row it passes
-through unchanged, one fraction-free (Bareiss) elimination for the rank and
-the determinant of integer and rational matrices, a division-free
-determinant memoized over column subsets for TrigPoly entries, the even/odd
-interleave split for checkerboard matrices, and the conjugation S H S^T of a
-Hankel matrix H by a nonnegative integer matrix S.  Where TrigPoly entries
-meet, each minor and each entry of a Hankel conjugation is one signed sum of
-products, reduced by TrigPoly.sum_of_products; TrigPoly matrices are never
-multiplied.
+TrigPoly), each a tuple of row tuples read a row at a time.  Each caches its
+ring, the widest entry type: the constructors that know it set it, and any
+other matrix learns it from one scan of its entries when a product,
+determinant or rank first needs it, refusing an entry of any other type.
+Operations: a product over Z and Q that sums the right factor's rows, one
+per nonzero left entry; one fraction-free (Bareiss) elimination for the rank
+and determinant over Z and Q; a division-free determinant memoized over
+column subsets for TrigPoly entries, each minor one
+TrigPoly.sum_of_products; the interleave split of a checkerboard matrix; and
+the conjugation S H S^T of a Hankel matrix H by a nonnegative int matrix S.
 
-Rational arithmetic runs on Python ints: each row of a matrix that holds a
-Fraction is scaled by the lcm of its denominators, the elimination and the
-product work on those integer rows, and one Fraction is built per nonzero
-result from the integer numerator over the product of the scales.  Every
-zero entry of a product is the int 0."""
+A matrix over Q holds no Fraction.  It is stored as integer numerator rows,
+each over one positive row denominator and in lowest terms, so equal
+matrices are stored alike; ``ExactMatrix._over`` is the one constructor that
+reduces such rows, and a matrix whose denominators all reduce to 1 is an int
+matrix.  The operations and ``==`` work on those ints.  Fractions are built
+only where entries are read (``row``, ``m[i, j]``, ``pretty``,
+``to_json_dict``, the message of ``first_difference``) and once per rational
+determinant; an entry reads as an int when its value is one, zeros
+included.  A matrix built from Fraction entries takes this form at the scan
+that learns its ring."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
-from operator import add, mul
-from typing import Any, Callable, Iterable, Sequence
+from operator import add, floordiv, mul
 
+from .combinatorics import common_denominator
 from .trigring import TrigPoly
 
-Entry = Any  # int | Fraction | TrigPoly
+Entry = object  # int | Fraction | TrigPoly
 
 
 class ExactMatrix:
-    """Immutable matrix held as a tuple of row tuples; rows are immutable
-    tuples, shared between matrices, never copied.  ``_ring`` caches the
-    widest entry type (int, then Fraction, then TrigPoly): the constructors
-    that know it set it, and otherwise the first product, determinant or
-    rank fills it with one scan of the entries."""
+    """Immutable matrix: ``_r`` its row tuples, shared between matrices,
+    ``_ring`` the cached ring (None until known), ``_den`` None or, over Q,
+    the row denominators of the integer rows in ``_r``."""
 
-    __slots__ = ("_r", "_cols", "_ring")
+    __slots__ = ("_r", "_cols", "_ring", "_den")
 
     def __init__(self, rows: Iterable[Iterable[Entry]]):
         data = tuple(map(tuple, rows))
@@ -55,15 +52,40 @@ class ExactMatrix:
         self._r = data
         self._cols = width
         self._ring = None
+        self._den = None
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[Entry, ...], ...], cols: int, ring: type) -> "ExactMatrix":
+    def _of(cls, rows: tuple[tuple[Entry, ...], ...], cols: int, ring: type | None) -> "ExactMatrix":
         """Wrap finished row tuples, each of length cols, whose widest entry
-        type is ring, without copying or checking them."""
+        type is ring (None: not known yet), without copying or checking them."""
         m = cls.__new__(cls)
         m._r = rows
         m._cols = cols
         m._ring = ring
+        m._den = None
+        return m
+
+    @classmethod
+    def _over(cls, rows: Iterable[Iterable[int]], dens: Iterable[int], cols: int) -> "ExactMatrix":
+        """The matrix over Q whose row i is the ints rows[i], each of the
+        cols entries over the positive int dens[i]: each row is reduced to
+        lowest terms with one gcd, and a matrix whose denominators all reduce
+        to 1 is an int matrix."""
+        out = []
+        reduced = []
+        for row, d in zip(rows, dens):
+            row = tuple(row)
+            if d != 1:
+                g = math.gcd(d, *row)
+                if g != 1:
+                    row = tuple(map(floordiv, row, repeat(g)))
+                    d //= g
+            out.append(row)
+            reduced.append(d)
+        m = cls._of(tuple(out), cols, int)
+        if reduced.count(1) != len(reduced):
+            m._den = tuple(reduced)
+            m._ring = Fraction
         return m
 
     @classmethod
@@ -101,91 +123,88 @@ class ExactMatrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self._cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self._cols}")
-        return self._r[i][j]
+        v = self._r[i][j]
+        return v if self._den is None else _ratio(v, self._den[i])
 
     def row(self, i: int) -> tuple[Entry, ...]:
-        return self._r[i]
+        den = self._den
+        if den is None or den[i] == 1:
+            return self._r[i]
+        d = den[i]
+        return tuple([_ratio(v, d) for v in self._r[i]])
+
+    def _entries(self) -> tuple[tuple[Entry, ...], ...]:
+        """Every row as it reads (``row``)."""
+        if self._den is None:
+            return self._r
+        return tuple(map(self.row, range(len(self._r))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._r == other._r
+        if (self._den is None) is (other._den is None):
+            return self._den == other._den and self._r == other._r
+        return self._entries() == other._entries()
 
     def __hash__(self):
-        return hash(self._r)
+        return hash(self._entries())
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Exact product, a row at a time: output row i is the sum of
-        e * (row k of the right factor) over the nonzero entries e at (i, k)
-        of the left factor, each step one C-level map over a whole row, and a
-        unit entry adds its row unscaled.  A sparse left factor (a row shift
-        is a unit diagonal and one subdiagonal) therefore costs one row
-        operation per nonzero entry; a row that one unit entry passes through
-        is the right factor's own row tuple.  Every zero entry of the product
-        is the int 0.  When a factor holds a Fraction, the rows are combined
-        as ints (left rows scaled by their own lcms, the right factor by one)
-        and each nonzero entry becomes one Fraction.  Entries must embed in the
-        rationals: a TrigPoly operand raises TypeError, as in ``rank``;
+        e * (row k of the right factor) over the nonzero entries e at (i, k),
+        each one C-level map over a row (a unit entry adds its row unscaled,
+        and a row one unit entry passes through is shared).  Over Q the
+        right factor's numerators are brought over the lcm of its row
+        denominators, and output row i is over that lcm times left row i's
+        denominator.  A TrigPoly operand raises TypeError, as in ``rank``;
         ``conjugate_hankel`` covers the ring's one product."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self._cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self._cols} @ {other.rows}x{other._cols}")
-        rings = {self._entry_ring(), other._entry_ring()}
-        if TrigPoly in rings:
+        if TrigPoly in (self._entry_ring(), other._entry_ring()):
             raise TypeError("matrix products need integer or rational entries")
         cols = other._cols
-        if Fraction not in rings:
-            return ExactMatrix._of(
-                tuple(map(tuple, _row_combinations(self._r, other._r, cols))), cols, int)
-        # left row i is scaled to ints by scales[i], the whole right factor by one lcm
-        left, scales = self._integer_rows(True)
-        common = math.lcm(*[v.denominator for v in chain.from_iterable(other._r)])
-        right = [[v.numerator * (common // v.denominator) for v in row] for row in other._r]
-        out = []
-        for acc, scale in zip(_row_combinations(left, right, cols), scales):
-            den = common * scale
-            out.append([Fraction(v, den) if v else 0 for v in acc])
-        return ExactMatrix(out)
+        right, common = _over_common(other)
+        out = _row_combinations(self._r, right, cols)
+        if self._den is None and other._den is None:
+            return ExactMatrix._of(tuple(map(tuple, out)), cols, int)
+        dens = repeat(common) if self._den is None else [d * common for d in self._den]
+        return ExactMatrix._over(out, dens, cols)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._of(tuple(zip(*self._r)), len(self._r), self._ring)
+        rows = len(self._r)
+        if self._den is None:
+            return ExactMatrix._of(tuple(zip(*self._r)), rows, self._ring)
+        scaled, common = _over_common(self)
+        return ExactMatrix._over(zip(*scaled), repeat(common), rows)
 
     def _entry_ring(self) -> type:
         """The widest entry type, int, Fraction or TrigPoly: the cached
-        ``_ring``, filled by ``_scan_ring`` on first use."""
+        ``_ring``, filled by ``_scan_ring`` on first use.  Rows that hold a
+        Fraction are then stored as integer numerators over their row
+        denominators (``_over``)."""
         ring = self._ring
         if ring is None:
-            self._ring = ring = _scan_ring(self._r)
+            ring = _scan_ring(self._r)
+            if ring is Fraction:
+                m = ExactMatrix._over(*zip(*map(common_denominator, self._r)), self._cols)
+                self._r, self._den, ring = m._r, m._den, m._ring
+            self._ring = ring
         return ring
 
-    def _integer_rows(self, rational: bool) -> tuple[list[list[int]], list[int] | None]:
-        """The rows as lists of ints, each scaled by the lcm of its entries'
-        denominators, and those per-row scales.  ``rational`` says whether
-        an entry may be a Fraction (the matrix's ring); if not, the rows
-        come back as lists of their entries, with no scales."""
-        if not rational:
-            return list(map(list, self._r)), None
-        scales = [math.lcm(*[v.denominator for v in row]) for row in self._r]
-        return [[v.numerator * (d // v.denominator) for v in row]
-                for row, d in zip(self._r, scales)], scales
-
-    def _bareiss(self, rational: bool) -> tuple[int, Entry]:
-        """Fraction-free (Bareiss) elimination on the integer rows of
-        ``_integer_rows``: (rank, determinant).  Every division is an exact
-        integer ``//``, row swaps and pivot-less columns included: by
-        Sylvester's identity each eliminated entry is a minor of the scaled
-        matrix.  Scaling rows by nonzero ints keeps the rank and multiplies
-        the determinant by the product of the scales, so the determinant is
-        Fraction(sign * last pivot, product of the scales) for a matrix that
-        holds a Fraction and sign * last pivot, an int, otherwise.  It is 0
-        unless the matrix is square and every column has a pivot.
-
-        Pivot choice: first nonzero entry in row order; each row swap flips
-        the determinant's sign.
+    def _bareiss(self) -> tuple[int, Entry]:
+        """Fraction-free (Bareiss) elimination on the integer rows: (rank,
+        determinant).  Every division is an exact integer ``//``, row swaps
+        and pivot-less columns included: by Sylvester's identity each
+        eliminated entry is a minor.  Over Q the rows are the numerators, so
+        the determinant is Fraction(sign * last pivot, product of the row
+        denominators); an int for an int matrix, and 0 unless the matrix is
+        square with a pivot in every column.  Pivot: the first nonzero entry
+        in row order; each row swap flips the sign.
         """
-        m, scales = self._integer_rows(rational)
+        m = list(map(list, self._r))
         rows, cols = len(m), self._cols
         prev = 1
         sign = 1
@@ -210,29 +229,25 @@ class ExactMatrix:
                 break
         if r != rows or r != cols:
             return r, 0
-        if scales is None:
+        if self._den is None:
             return r, sign * prev
-        return r, Fraction(sign * prev, math.prod(scales))
+        return r, Fraction(sign * prev, math.prod(self._den))
 
     def determinant(self) -> Entry:
         """Exact determinant of a square matrix.
 
         Integer and rational matrices go through the Bareiss elimination that
-        ``rank`` uses: O(n^3) operations on ints, each row of a rational
-        matrix first scaled to ints by the lcm of its denominators, and one
-        Fraction built at the end; an int for an int matrix.  A
-        matrix with a TrigPoly entry takes the division-free expansion along
-        the last row of each leading-rows submatrix, memoized over column
-        subsets: O(n 2^n) ring operations instead of n! and no divisions.
-        Each minor of two or more rows is one TrigPoly.sum_of_products over
-        its signed (entry, sub-minor) pairs, so it is a TrigPoly.
+        ``rank`` uses: O(n^3) operations on the integer rows.  A matrix with
+        a TrigPoly entry takes the division-free expansion along the last row
+        of each leading-rows submatrix, memoized over column subsets: O(n 2^n)
+        ring operations instead of n!, each minor of two or more rows one
+        TrigPoly.sum_of_products over its signed (entry, sub-minor) pairs.
         """
-        rows = self._r
-        if len(rows) != self._cols:
+        if len(self._r) != self._cols:
             raise ValueError("determinant needs a square matrix")
-        ring = self._entry_ring()
-        if ring is not TrigPoly:
-            return self._bareiss(ring is Fraction)[1]
+        if self._entry_ring() is not TrigPoly:
+            return self._bareiss()[1]
+        rows = self._r
         memo: dict[int, Entry] = {}
 
         def minor(mask: int) -> Entry:
@@ -263,10 +278,9 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank by the Bareiss elimination.  Entries must embed in the
         rationals; TrigPoly matrices have no rank here."""
-        ring = self._entry_ring()
-        if ring is TrigPoly:
+        if self._entry_ring() is TrigPoly:
             raise TypeError("rank needs integer or rational entries")
-        return self._bareiss(ring is Fraction)[0]
+        return self._bareiss()[0]
 
     def interleave_split(self) -> tuple["ExactMatrix", "ExactMatrix"]:
         """Split a checkerboard matrix of even order 2m into its odd/odd and
@@ -285,13 +299,25 @@ class ExactMatrix:
             if bad is not None:
                 raise ValueError(
                     f"checkerboard violation: nonzero entry at row {i + 1}, column {bad + 1}")
-        odd = ExactMatrix(row[0::2] for row in rows[0::2])
-        even = ExactMatrix(row[1::2] for row in rows[1::2])
-        return odd, even
+        den = self._den
+
+        def block(start: int) -> ExactMatrix:
+            sub = (row[start::2] for row in rows[start::2])
+            if den is None:
+                return ExactMatrix(sub)
+            return ExactMatrix._over(sub, den[start::2], len(rows) // 2)
+
+        return block(0), block(1)
+
+    def _cells(self) -> list[list[str]]:
+        """Every entry as its str, as ``row`` would read it, from the ints."""
+        den = self._den or repeat(1)
+        return [list(map(str, row)) if d == 1 else [_ratio_str(v, d) for v in row]
+                for row, d in zip(self._r, den)]
 
     def pretty(self) -> str:
         """Aligned text rendering with exact entries."""
-        cells = [list(map(str, row)) for row in self._r]
+        cells = self._cells()
         widths = [max(map(len, col)) for col in zip(*cells)]
         return "\n".join(
             "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
@@ -301,7 +327,7 @@ class ExactMatrix:
         return {
             "rows": self.rows,
             "cols": self._cols,
-            "entries": [str(v) for v in chain.from_iterable(self._r)],
+            "entries": list(chain.from_iterable(self._cells())),
         }
 
     def __str__(self) -> str:
@@ -323,6 +349,28 @@ def _scan_ring(rows: tuple[tuple[Entry, ...], ...]) -> type:
         bad = ", ".join(sorted(t.__name__ for t in kinds - _RINGS))
         raise TypeError(f"matrix entries must be int, Fraction or TrigPoly, not {bad}")
     return TrigPoly if TrigPoly in kinds else Fraction if Fraction in kinds else int
+
+
+def _ratio(v: int, d: int) -> int | Fraction:
+    """The entry v / d as it reads: an int when d divides v, else a Fraction."""
+    return Fraction(v, d) if v % d else v // d
+
+
+def _ratio_str(v: int, d: int) -> str:
+    """str(_ratio(v, d)), without building the Fraction."""
+    g = math.gcd(v, d)
+    return str(v // g) if g == d else f"{v // g}/{d // g}"
+
+
+def _over_common(m: ExactMatrix) -> tuple[Sequence[Sequence[int]], int]:
+    """The integer rows of m over one common denominator, the lcm of its
+    row denominators, and that lcm; an int matrix's own rows over 1."""
+    den = m._den
+    if den is None:
+        return m._r, 1
+    common = math.lcm(*den)
+    return [row if d == common else tuple(map(mul, row, repeat(common // d)))
+            for row, d in zip(m._r, den)], common
 
 
 def _row_combinations(left: Iterable[Sequence[int]], right: Sequence[Sequence[int]],
@@ -354,9 +402,9 @@ def conjugate_hankel(stack: ExactMatrix, h: Sequence[Entry]) -> ExactMatrix:
     k = stack.cols
     if len(h) != 2 * k - 1:
         raise ValueError(f"a Hankel matrix of order {k} needs {2 * k - 1} values, got {len(h)}")
-    rows = stack._r
-    if stack._entry_ring() is not int or min(map(min, rows)) < 0:
+    if stack._entry_ring() is not int or min(map(min, stack._r)) < 0:
         raise ValueError("Hankel conjugation needs a matrix of nonnegative ints")
+    rows = stack._r
     width = 2 * max(map(sum, rows)).bit_length()
     mask = (1 << width) - 1
     packed = [sum(v << (a * width) for a, v in enumerate(row)) for row in rows]

@@ -4,7 +4,6 @@ the base of its small value classes."""
 from __future__ import annotations
 
 import time
-from typing import Any
 
 
 class Record:
@@ -58,7 +57,7 @@ class VerificationReport(FrozenRecord):
 
     __slots__ = ("check", "params", "expected", "computed", "passed", "millis", "note")
 
-    def __init__(self, check: str, params: dict[str, Any], expected: str, computed: str,
+    def __init__(self, check: str, params: dict[str, object], expected: str, computed: str,
                  passed: bool, millis: float, note: str = ""):
         object.__setattr__(self, "check", check)
         object.__setattr__(self, "params", params)
@@ -77,7 +76,7 @@ class VerificationReport(FrozenRecord):
         return out
 
 
-def finish_report(check: str, params: dict[str, Any], expected: Any, computed: Any,
+def finish_report(check: str, params: dict[str, object], expected: object, computed: object,
                   started: float, note: str = "") -> VerificationReport:
     """Close a timed check; pass iff the two values render identically."""
     expected_s = str(expected)

@@ -13,8 +13,10 @@ import math
 import time
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, mul, sub
 
-from .combinatorics import Rat, binomial_column
+from .combinatorics import Rat, binomial_column, common_denominator
 from .matrix import ExactMatrix, first_difference
 from .report import FrozenRecord, VerificationReport, finish_report
 
@@ -102,12 +104,11 @@ def build(spec: MatrixSpec) -> ExactMatrix:
     if kind is MatrixKind.LOWER_HALVING:
         n = spec.n
         _need_size(n)
-        # (-1/2)^d C(i-1+d, d) = C(-i, d) / 2^d at d = i - j, read right to left;
-        # the diagonal entry (d = 0) is the Fraction 1
-        rows = tuple(
-            tuple([Fraction(c, 1 << d) for d, c in enumerate(binomial_column(-i, i))][::-1]
-                  + [0] * (n - i)) for i in range(1, n + 1))
-        return ExactMatrix._of(rows, n, Fraction)
+        # (-1/2)^d C(i-1+d, d) = C(-i, d) / 2^d at d = i - j, read right to
+        # left: row i holds the numerators C(-i, d) 2^(i-1-d) over 2^(i-1)
+        rows = ([c << (i - 1 - d) for d, c in enumerate(binomial_column(-i, i))][::-1] + [0] * (n - i)
+                for i in range(1, n + 1))
+        return ExactMatrix._over(rows, (1 << i for i in range(n)), n)
     if kind is MatrixKind.SCALED_PASCAL:
         _need_size(spec.n)
         # row i is 2^i times column i of the Pascal rows (0-indexed)
@@ -123,29 +124,44 @@ def build(spec: MatrixSpec) -> ExactMatrix:
         return ExactMatrix._of(rows, spec.n, int)
     if kind is MatrixKind.BINOM_ODD:
         _need_size(spec.n)
-        return _binomial_nodes_matrix(range(1, 2 * spec.n + 2, 2))
+        return _binomial_nodes_matrix(range(1, 2 * spec.n + 2, 2), 1)
     if kind is MatrixKind.BINOM_EVEN:
         _need_size(spec.n)
-        return _binomial_nodes_matrix(range(2, 2 * spec.n + 3, 2))
+        return _binomial_nodes_matrix(range(2, 2 * spec.n + 3, 2), 1)
     if kind is MatrixKind.BINOM_AFFINE:
         _need_size(spec.n)
         if spec.a is None or spec.b is None:
             raise ValueError("binom-affine needs a and b")
-        return _binomial_nodes_matrix([spec.a * j + spec.b for j in range(1, spec.n + 1)])
+        (a, b), common = common_denominator((spec.a, spec.b))
+        return _binomial_nodes_matrix([a * j + b for j in range(1, spec.n + 1)], common)
     if kind is MatrixKind.BINOM_NODES:
         if not spec.nodes:
             raise ValueError("binom-nodes needs a nonempty node tuple")
-        return _binomial_nodes_matrix(spec.nodes)
+        return _binomial_nodes_matrix(*common_denominator(spec.nodes))
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def _binomial_nodes_matrix(nodes) -> ExactMatrix:
-    """The square matrix C(x_j, i-1) over the nodes x_1 .. x_size: column j
-    is the running-product column ``binomial_column(x_j, size)``, all ints
-    for an integral node and Fractions below row 1 for any other."""
-    size = len(nodes)
-    ring = Fraction if size > 1 and any(x.denominator != 1 for x in nodes) else int
-    return ExactMatrix._of(tuple(zip(*[binomial_column(x, size) for x in nodes])), size, ring)
+def _binomial_nodes_matrix(nums: list[int], common: int) -> ExactMatrix:
+    """The square matrix C(x_j, i-1) over the nodes x_j = nums[j] / common,
+    built a row at a time from the row above.  Integral nodes (common 1)
+    give ints, C(x, i) = C(x, i-1) (x-i+1) // i, an exact division for
+    either sign of x.  Otherwise row i (0-indexed) holds the running
+    products prod_{t<i} (nums[j] - t common) over common^i i!, which
+    ``ExactMatrix._over`` reduces."""
+    size = len(nums)
+    row = (1,) * size
+    rows = [row]
+    if common == 1:
+        for i in range(1, size):
+            row = tuple(map(floordiv, map(mul, row, map(sub, nums, repeat(i - 1))), repeat(i)))
+            rows.append(row)
+        return ExactMatrix._of(tuple(rows), size, int)
+    dens = [1]
+    for i in range(1, size):
+        row = list(map(mul, row, map(sub, nums, repeat((i - 1) * common))))
+        rows.append(row)
+        dens.append(dens[-1] * common * i)
+    return ExactMatrix._over(rows, dens, size)
 
 
 def _need_size(n: int) -> None:
@@ -172,10 +188,8 @@ def det_closed_form(spec: MatrixSpec) -> Rat:
     if kind is MatrixKind.BINOM_NODES:
         # every node as an int over one common denominator: each difference
         # x_j - x_i is (ints[j] - ints[i]) / common
-        nodes = spec.nodes
-        size = len(nodes)
-        common = math.lcm(*[x.denominator for x in nodes])
-        ints = [x.numerator * (common // x.denominator) for x in nodes]
+        size = len(spec.nodes)
+        ints, common = common_denominator(spec.nodes)
         num = 1
         for i in range(size):
             for j in range(i + 1, size):

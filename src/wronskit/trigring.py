@@ -26,12 +26,12 @@ rules; no order below the requested one is computed or kept.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 from types import MappingProxyType
-from typing import Iterable
 
 Coeff = int | Fraction
 # (x degree, c degree) -> coefficient; zero coefficients are never stored

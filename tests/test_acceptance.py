@@ -156,6 +156,30 @@ def test_triangularization_at_n_100():
         assert rep.passed, rep.line()
 
 
+def test_triangularization_at_n_200():
+    # 0.75 to 1.2 s on a shared 2-core container, nearly all of it the product
+    with criterion("binom-triangularization-200", 3.0):
+        rep = verify_triangularization(200)
+        assert rep.passed, rep.line()
+
+
+def test_cli_lower_halving_json_at_n_200():
+    # about 0.16 s per process on a shared 2-core container: interpreter
+    # start, import, and 20100 nonzero entries rendered from numerator rows
+    with criterion("cli-lower-halving-200-json", 2.0):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wronskit", "matrix", "--kind", "lower-halving", "--n", "200", "--json"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["rows"], doc["cols"]) == (200, 200)
+    entries = doc["entries"]
+    assert entries[:2] == ["1", "0"] and entries[200:202] == ["-1", "1"]
+    # row 200, column 1: (-1/2)^199 C(398, 199)
+    assert Fraction(entries[199 * 200]) == Fraction(-math.comb(398, 199), 2 ** 199)
+    assert sum(v != "0" for v in entries) == 200 * 201 // 2
+
+
 def test_even_from_odd_at_n_100():
     with criterion("binom-even-from-odd-100", 2.0):
         rep = verify_even_from_odd(100)

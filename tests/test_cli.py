@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -375,3 +376,170 @@ def test_module_entry_point():
         finally:
             sys.argv = old
     assert exc.value.code == 0
+
+
+# `wronskit matrix` output for rational kinds, captured before matrices over Q
+# stored integer rows over row denominators: the text byte for byte, and the
+# JSON document byte for byte once its one "millis" line is dropped.
+PINNED_MATRIX_ARGV = {
+    "lower-halving": ["--kind", "lower-halving", "--n", "6"],
+    "binom-affine": ["--kind", "binom-affine", "--n", "4", "--a", "1/2", "--b", "1"],
+    "binom-nodes": ["--kind", "binom-nodes", "--nodes", "1/2,2,7/3,4"],
+}
+PINNED_MATRIX_TEXT = {
+    "lower-halving": """\
+[     1      0     0     0   0  0 ]
+[    -1      1     0     0   0  0 ]
+[   3/2   -3/2     1     0   0  0 ]
+[  -5/2    5/2    -2     1   0  0 ]
+[  35/8  -35/8  15/4  -5/2   1  0 ]
+[ -63/8   63/8    -7  21/4  -3  1 ]
+""",
+    "binom-affine": """\
+[     1  1     1  1 ]
+[   3/2  2   5/2  3 ]
+[   3/8  1  15/8  3 ]
+[ -1/16  0  5/16  1 ]
+det-closed-form [kind=binom-affine, n=4, a=1/2, b=1]: expected 1/64, computed 1/64 -> pass
+""",
+    "binom-nodes": """\
+[    1  1      1  1 ]
+[  1/2  2    7/3  4 ]
+[ -1/8  1   14/9  6 ]
+[ 1/16  0  14/81  4 ]
+det-closed-form [kind=binom-nodes, nodes=1/2,2,7/3,4]: expected 385/432, computed 385/432 -> pass
+""",
+}
+
+PINNED_MATRIX_JSON = {
+    "lower-halving": """\
+{
+  "cols": 6,
+  "entries": [
+    "1",
+    "0",
+    "0",
+    "0",
+    "0",
+    "0",
+    "-1",
+    "1",
+    "0",
+    "0",
+    "0",
+    "0",
+    "3/2",
+    "-3/2",
+    "1",
+    "0",
+    "0",
+    "0",
+    "-5/2",
+    "5/2",
+    "-2",
+    "1",
+    "0",
+    "0",
+    "35/8",
+    "-35/8",
+    "15/4",
+    "-5/2",
+    "1",
+    "0",
+    "-63/8",
+    "63/8",
+    "-7",
+    "21/4",
+    "-3",
+    "1"
+  ],
+  "rows": 6
+}
+""",
+    "binom-affine": """\
+{
+  "cols": 4,
+  "det_identity": {
+    "check": "det-closed-form",
+    "computed": "1/64",
+    "expected": "1/64",
+    "params": {
+      "a": "1/2",
+      "b": "1",
+      "kind": "binom-affine",
+      "n": 4
+    },
+    "pass": true,
+    "suite": "determinants"
+  },
+  "entries": [
+    "1",
+    "1",
+    "1",
+    "1",
+    "3/2",
+    "2",
+    "5/2",
+    "3",
+    "3/8",
+    "1",
+    "15/8",
+    "3",
+    "-1/16",
+    "0",
+    "5/16",
+    "1"
+  ],
+  "rows": 4
+}
+""",
+    "binom-nodes": """\
+{
+  "cols": 4,
+  "det_identity": {
+    "check": "det-closed-form",
+    "computed": "385/432",
+    "expected": "385/432",
+    "params": {
+      "kind": "binom-nodes",
+      "nodes": "1/2,2,7/3,4"
+    },
+    "pass": true,
+    "suite": "determinants"
+  },
+  "entries": [
+    "1",
+    "1",
+    "1",
+    "1",
+    "1/2",
+    "2",
+    "7/3",
+    "4",
+    "-1/8",
+    "1",
+    "14/9",
+    "6",
+    "1/16",
+    "0",
+    "14/81",
+    "4"
+  ],
+  "rows": 4
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MATRIX_ARGV))
+def test_rational_matrix_output_is_pinned(capsys, name):
+    argv = ["matrix", *PINNED_MATRIX_ARGV[name]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == PINNED_MATRIX_TEXT[name]
+    assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    if name == "lower-halving":
+        assert "millis" not in out
+    else:
+        assert len(re.findall(r'\n *"millis": [0-9.]+,\n', out)) == 1
+    assert re.sub(r'\n *"millis": [0-9.]+,(?=\n)', "", out) == PINNED_MATRIX_JSON[name]

@@ -61,25 +61,29 @@ def test_binomial_rejects_negative_k():
         binomial(4, -1)
 
 
-@given(st.one_of(st.integers(-40, 40), st.integers(-40, 40).map(Fraction), rationals),
-       st.integers(0, 14))
+@given(st.integers(-40, 40), st.integers(0, 14))
 @example(5, 0)
 @example(-7, 1)
-@example(Fraction(-3, 2), 0)
-@example(Fraction(7, 3), 1)
-@example(Fraction(8, 2), 9)
+@example(4, 9)
 def test_binomial_column_matches_binomial(x, size):
     col = binomial_column(x, size)
     assert len(col) == size
     for k, got in enumerate(col):
         want = binomial(x, k)
         assert got == want, k
-        assert type(got) is type(want), k
+        assert type(got) is type(want) is int, k
 
 
 def test_binomial_column_rejects_negative_size():
     with pytest.raises(ValueError):
         binomial_column(3, -1)
+
+
+def test_binomial_column_takes_only_int_arguments():
+    # rational nodes are columns of structured.build's numerator rows instead
+    for x in (Fraction(7, 3), Fraction(8, 2), 2.0):
+        with pytest.raises(TypeError, match="binomial column needs an int upper argument"):
+            binomial_column(x, 3)
 
 
 @given(rationals, st.integers(1, 8))

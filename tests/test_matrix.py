@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -494,13 +495,36 @@ def test_entries_outside_the_exact_rings_are_refused(bad):
         ring.rank()
 
 
+def _check_storage(m: ExactMatrix) -> None:
+    """m's rows hold what its ring says: ints and no denominators for an int
+    matrix, entries as given for a TrigPoly one, and for a matrix over Q
+    integer numerator rows, each over a positive denominator that shares no
+    factor with the whole row, at least one denominator not 1."""
+    ring = m._entry_ring()
+    if ring is TrigPoly:
+        assert m._den is None
+        return
+    assert all(type(v) is int for row in m._r for v in row)
+    if ring is int:
+        assert m._den is None
+        return
+    assert len(m._den) == m.rows and any(d != 1 for d in m._den)
+    for row, d in zip(m._r, m._den):
+        assert type(d) is int and d > 0 and math.gcd(d, *row) == 1
+
+
 def _check_ring(m: ExactMatrix, declared: bool) -> None:
     """m's ring, declared by its constructor or not, is what a fresh scan of
-    its entries gives, and m renders as the same rows built by ExactMatrix."""
+    its entries as they read gives; m is stored as a fresh matrix of those
+    entries is once it has scanned them, and renders as that matrix."""
     assert (m._ring is not None) == declared
-    fresh = ExactMatrix([list(m.row(i)) for i in range(m.rows)])
+    ring = m._entry_ring()
+    _check_storage(m)
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    fresh = ExactMatrix(rows)
     assert fresh._ring is None
-    assert m._entry_ring() is fresh._entry_ring() is matrix._scan_ring(m._r)
+    assert ring is fresh._entry_ring() is matrix._scan_ring(rows)
+    assert (m._r, m._den) == (fresh._r, fresh._den)
     assert str(m) == str(fresh) and m.to_json_dict() == fresh.to_json_dict() and m == fresh
 
 
@@ -511,9 +535,9 @@ def _check_ring(m: ExactMatrix, declared: bool) -> None:
 def test_products_transposes_and_unit_lower_declare_their_scanned_ring(factors, n, offset, start):
     a, b = ExactMatrix(factors[0]), ExactMatrix(factors[1])
     product = a @ b
-    # an int product declares int; a product with a Fraction factor is left to its first use
-    _check_ring(product, declared=a._ring is int and b._ring is int)
-    _check_ring(product.transpose(), declared=product._ring is not None)
+    # every product, int or rational, is built in its final form and declares its ring
+    _check_ring(product, declared=True)
+    _check_ring(product.transpose(), declared=True)
     offset = min(offset, n)
     unit = ExactMatrix.unit_lower(n, offset, max(start, offset))
     _check_ring(unit, declared=True)
@@ -580,10 +604,130 @@ def test_shift_products_scan_no_entry_and_a_rational_product_each_factor_once(mo
     assert scanned == []
     rng = Random(23)
     a, b = random_rational_matrix(rng, 5, mixed=True), random_int_matrix(rng, 5, 5)
+    # the rows as given; the scan of a's replaces them with numerators over denominators
+    given_rows = sorted({id(a._r), id(b._r)})
     product = a @ b
+    assert a._den is not None and b._den is None
     for op in (lambda: a @ b, lambda: b @ a, lambda: a.transpose() @ b, a.determinant, a.rank, b.rank):
         op()
-    assert sorted(scanned) == sorted({id(a._r), id(b._r)})
+    assert sorted(scanned) == given_rows
+    # a rational product is built over its row denominators and never scanned
     product.determinant()
     product.determinant()
-    assert scanned.count(id(product._r)) == 1 and len(scanned) == 3
+    assert product._den is not None and len(scanned) == 2
+
+
+# Matrices over Q are stored as integer numerator rows over one denominator
+# per row, each row in lowest terms.  Rows drawn here: zero rows, rows of
+# random entries (ints, integral Fractions, negatives), and rows whose
+# entries share a factor with each other and with their denominators.
+FORMAT_ENTRIES = st.one_of(
+    st.integers(-9, 9), st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+def _format_row(width: int):
+    return st.one_of(
+        st.just([0] * width),
+        st.lists(FORMAT_ENTRIES, min_size=width, max_size=width),
+        st.builds(lambda vs, k, d: [Fraction(k * v, d) for v in vs],
+                  st.lists(st.integers(-6, 6), min_size=width, max_size=width),
+                  st.integers(1, 6), st.integers(1, 12)))
+
+
+def _format_rows(height: int, width: int):
+    return st.lists(_format_row(width), min_size=height, max_size=height)
+
+
+FORMAT_SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 5))
+
+
+@given(FORMAT_SHAPES.flatmap(lambda hw: _format_rows(*hw)))
+@settings(deadline=None, max_examples=150)
+def test_rational_rows_read_back_as_given(rows):
+    m = ExactMatrix(rows)
+    ring = m._entry_ring()
+    _check_storage(m)
+    assert ring is (Fraction if any(Fraction(v).denominator != 1 for r in rows for v in r) else int)
+    for i, given_row in enumerate(rows):
+        assert m.row(i) == tuple(given_row)
+        for j, v in enumerate(given_row):
+            got = m[i, j]
+            assert got == v and type(got) is (int if Fraction(v).denominator == 1 else Fraction)
+    # rendered from the ints as the given entries render
+    assert m.to_json_dict()["entries"] == [str(v) for r in rows for v in r]
+    assert m.pretty() == ExactMatrix(rows).pretty()
+    # the numerator rows over their denominators build the same matrix
+    dens = m._den or (1,) * m.rows
+    assert ExactMatrix._over(m._r, dens, m.cols) == m
+    assert ExactMatrix._over([[v * 3 for v in r] for r in m._r], [3 * d for d in dens], m.cols)._r == m._r
+
+
+@given(FORMAT_SHAPES.flatmap(lambda hw: _format_rows(*hw)), st.randoms())
+@settings(deadline=None, max_examples=150)
+def test_equality_and_hash_agree_across_entry_types(rows, rng):
+    stored = ExactMatrix(rows)
+    stored._entry_ring()
+    variants = [
+        stored,
+        ExactMatrix(rows),  # not yet scanned: the entries as given
+        ExactMatrix([[Fraction(v) for v in r] for r in rows]),
+        ExactMatrix([[TrigPoly.constant(v) for v in r] for r in rows]),
+        ExactMatrix([[int(v) if Fraction(v).denominator == 1 else v for v in r] for r in rows]),
+    ]
+    for a in variants:
+        for b in variants:
+            assert a == b and hash(a) == hash(b)
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    changed = [list(r) for r in rows]
+    changed[i][j] += Fraction(1, rng.choice((1, 2, 7)))
+    other = ExactMatrix(changed)
+    other._entry_ring()
+    for a in variants:
+        assert a != other and other != a
+    # the same numerators over other denominators are another matrix
+    third = ExactMatrix([[Fraction(v) / 3 for v in r] for r in rows])
+    third._entry_ring()
+    if any(v for r in rows for v in r):
+        for a in variants:
+            assert a != third and third != a
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(_format_rows(s[0], s[1]), _format_rows(s[1], s[2]), _format_rows(s[0], s[0]))))
+@settings(deadline=None, max_examples=150)
+def test_rational_format_matches_oracles(factors):
+    left, right, square = map(ExactMatrix, factors)
+    product = left @ right
+    _check_storage(product)
+    assert product == product_by_definition(left, right)
+    assert all(type(product[i, j]) is int or product[i, j].denominator != 1
+               for i in range(product.rows) for j in range(product.cols))
+    det = square.determinant()
+    assert det == determinant_by_permutations(square) and str(det) == str(determinant_by_permutations(square))
+    for m in (left, right, square, product, product.transpose()):
+        assert m.rank() == rank_by_elimination(m)
+    transposed = left.transpose()
+    _check_storage(transposed)
+    assert transposed == ExactMatrix([[left[i, j] for i in range(left.rows)] for j in range(left.cols)])
+    if square.rows % 2 == 0:
+        blanked = ExactMatrix([[v if (i + j) % 2 == 0 else 0 for j, v in enumerate(r)]
+                               for i, r in enumerate(factors[2])])
+        whole = blanked.determinant()  # stores the rows as numerators first
+        odd, even = blanked.interleave_split()
+        _check_storage(odd)
+        _check_storage(even)
+        assert odd.determinant() * even.determinant() == whole == determinant_by_permutations(blanked)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: _format_rows(n, n)), st.sampled_from([0.5, 1.0, True, False]),
+       st.randoms())
+@settings(deadline=None, max_examples=60)
+def test_float_and_bool_entries_raise_among_rationals(rows, bad, rng):
+    rows = [list(r) for r in rows]
+    rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] = bad
+    m = ExactMatrix(rows)
+    square = ExactMatrix([[1] * len(rows)] * len(rows))
+    for op in (m.determinant, m.rank, lambda: square @ m, lambda: m.transpose() @ square):
+        with pytest.raises(TypeError, match=f"must be int, Fraction or TrigPoly, not {type(bad).__name__}"):
+            op()

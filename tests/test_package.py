@@ -60,20 +60,26 @@ def test_every_import_is_used():
 HEAVY_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
-def _modules_after(statement: str) -> set[str]:
+def _modules_after(statement: str, *flags: str) -> set[str]:
     env = dict(os.environ)
     source = str(Path(wronskit.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+    out = subprocess.run([sys.executable, *flags, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
                          env=env, capture_output=True, text=True, check=True).stdout
     return set(out.split())
 
 
-@pytest.mark.parametrize("statement", ["import wronskit", "import wronskit.cli"])
-def test_import_leaves_out_the_heavy_stdlib(statement):
-    added = _modules_after(statement) - _modules_after("pass")
+# Under -S no site .pth file preloads a module, so typing, which the package
+# needs only for annotations, must stay out of what it imports too.
+@pytest.mark.parametrize("statement, flags, heavy", [
+    pytest.param("import wronskit", (), HEAVY_STDLIB, id="import wronskit"),
+    pytest.param("import wronskit.cli", (), HEAVY_STDLIB, id="import wronskit.cli"),
+    pytest.param("import wronskit.cli", ("-S",), HEAVY_STDLIB + ("typing",), id="import wronskit.cli -S"),
+])
+def test_import_leaves_out_the_heavy_stdlib(statement, flags, heavy):
+    added = _modules_after(statement, *flags) - _modules_after("pass", *flags)
     assert "wronskit" in added
-    assert sorted(added & set(HEAVY_STDLIB)) == []
+    assert sorted(added & set(heavy)) == []
 
 
 # Value semantics of the package's small value classes: construction,
