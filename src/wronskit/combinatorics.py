@@ -39,7 +39,8 @@ def binomial(x: Rat, k: int) -> Rat:
     """
     if k < 0:
         raise ValueError("binomial needs k >= 0")
-    if isinstance(x, Fraction) and x.denominator == 1:
+    # an int is tested first: isinstance(x, Fraction) is an ABC check per call
+    if not isinstance(x, int) and x.denominator == 1:
         x = int(x)
     if isinstance(x, int):
         if x >= 0:

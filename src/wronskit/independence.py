@@ -24,7 +24,7 @@ from functools import lru_cache
 from .combinatorics import binomial, falling_factorial
 from .matrix import Entry, ExactMatrix, conjugate_hankel, first_difference
 from .report import FrozenRecord, VerificationReport, finish_report
-from .structured import double_shift_matrix, pascal_product
+from .structured import pascal_product
 from .trigring import (
     Coeff,
     Trig,
@@ -66,10 +66,11 @@ def wronskian_hankel(spec: ChainSpec) -> ExactMatrix:
 def _double_shift_stack(size: int) -> tuple[ExactMatrix, str]:
     """The stacked double-shift product S (cutoffs 1 .. (size+1)//2 - 1, the last
     leftmost) and its first difference from C(i//2, j//2) where i = j mod 2,
-    0-indexed: 'ok' iff row i of S holds the coefficients of D^(i mod 2) (D^2+1)^(i//2)."""
+    0-indexed: 'ok' iff row i of S holds the coefficients of D^(i mod 2) (D^2+1)^(i//2).
+    S is row operations (``shift_rows``): no double-shift matrix is multiplied."""
     stack = ExactMatrix.identity(size)
     for k in range(1, (size + 1) // 2):
-        stack = double_shift_matrix(size, k) @ stack
+        stack = stack.shift_rows(2, 2 * k)
     rungs = ExactMatrix.from_fn(
         size, size, lambda i, j: binomial((i - 1) // 2, (j - 1) // 2) if (i - j) % 2 == 0 else 0)
     return stack, first_difference(stack, rungs)

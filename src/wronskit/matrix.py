@@ -4,11 +4,13 @@ ring, the widest entry type: the constructors that know it set it, and any
 other matrix learns it from one scan of its entries when a product,
 determinant or rank first needs it, refusing an entry of any other type.
 Operations: a product over Z and Q that sums the right factor's rows, one
-per nonzero left entry; one fraction-free (Bareiss) elimination for the rank
-and determinant over Z and Q; a division-free determinant memoized over
-column subsets for TrigPoly entries, each minor one
-TrigPoly.sum_of_products; the interleave split of a checkerboard matrix; and
-the conjugation S H S^T of a Hankel matrix H by a nonnegative int matrix S.
+per nonzero left entry; ``shift_rows``, an int matrix's product by a unit
+lower shift matrix as row additions, with no shift matrix built or
+multiplied; one fraction-free (Bareiss) elimination for the rank and
+determinant over Z and Q; a division-free determinant memoized over column
+subsets for TrigPoly entries, each minor one TrigPoly.sum_of_products; the
+interleave split of a checkerboard matrix; and the conjugation S H S^T of a
+Hankel matrix H by a nonnegative int matrix S.
 
 A matrix over Q holds no Fraction.  It is stored as integer numerator rows,
 each over one positive row denominator and in lowest terms, so equal
@@ -100,7 +102,9 @@ class ExactMatrix:
     @classmethod
     def unit_lower(cls, n: int, offset: int, start: int) -> "ExactMatrix":
         """The n x n matrix with ones on the diagonal and at (i, i - offset)
-        for every row i >= start (0-indexed, offset >= 1), zeros elsewhere."""
+        for every row i >= start (0-indexed), zeros elsewhere; ValueError
+        unless 1 <= offset <= start <= n."""
+        _check_shift(n, offset, start)
         rows = []
         for i in range(n):
             row = [0] * n
@@ -109,6 +113,17 @@ class ExactMatrix:
                 row[i - offset] = 1
             rows.append(tuple(row))
         return cls._of(tuple(rows), n, int)
+
+    def shift_rows(self, offset: int, start: int) -> "ExactMatrix":
+        """``unit_lower(self.rows, offset, start) @ self`` for an int matrix
+        (TypeError otherwise), as row additions in one C-level map: rows
+        before start are shared, and row i >= start gains row i - offset."""
+        _check_shift(len(self._r), offset, start)
+        if self._entry_ring() is not int:
+            raise TypeError("row shifts need an int matrix")
+        rows = self._r  # read after the scan, which stores integral Fractions as ints
+        added = map(tuple, map(map, repeat(add), rows[start:], rows[start - offset:-offset]))
+        return ExactMatrix._of(rows[:start] + tuple(added), self._cols, int)
 
     @property
     def rows(self) -> int:
@@ -349,6 +364,13 @@ def _scan_ring(rows: tuple[tuple[Entry, ...], ...]) -> type:
         bad = ", ".join(sorted(t.__name__ for t in kinds - _RINGS))
         raise TypeError(f"matrix entries must be int, Fraction or TrigPoly, not {bad}")
     return TrigPoly if TrigPoly in kinds else Fraction if Fraction in kinds else int
+
+
+def _check_shift(n: int, offset: int, start: int) -> None:
+    """ValueError unless the shift stays inside n rows: 1 <= offset <= start <= n."""
+    if not 1 <= offset <= start <= n:
+        raise ValueError(f"row shift needs 1 <= offset <= start <= n, got n={n}, "
+                         f"offset={offset}, start={start}")
 
 
 def _ratio(v: int, d: int) -> int | Fraction:

@@ -227,12 +227,13 @@ def det_identity(spec: MatrixSpec) -> VerificationReport:
 
 def pascal_product(n: int) -> ExactMatrix:
     """The product of all n x n row-shift matrices, cutoff n-1 leftmost down
-    to cutoff 1, multiplied out exactly.  Needs n >= 2."""
+    to cutoff 1, as row operations on the identity (``shift_rows``), with no
+    shift matrix built or multiplied.  Needs n >= 2."""
     if n < 2:
         raise ValueError("pascal product needs n >= 2")
-    acc = row_shift_matrix(n, 1)
-    for k in range(2, n):
-        acc = row_shift_matrix(n, k) @ acc
+    acc = ExactMatrix.identity(n)
+    for k in range(1, n):
+        acc = acc.shift_rows(1, k)
     return acc
 
 
@@ -284,12 +285,12 @@ def verify_triangularization(n: int) -> VerificationReport:
 
 def verify_even_from_odd(n: int) -> VerificationReport:
     """Bidiagonal (size n+1) times binom-odd must equal binom-even: the Pascal
-    rule C(2j-1, i-2) + C(2j-1, i-1) = C(2j, i-1) in matrix form."""
+    rule C(2j-1, i-2) + C(2j-1, i-1) = C(2j, i-1) in matrix form, taken as
+    the row operation ``shift_rows(1, 1)`` with no bidiagonal matrix built."""
     started = time.perf_counter()
-    bi = build(MatrixSpec(MatrixKind.BIDIAGONAL, n=n + 1))
     odd = build(MatrixSpec(MatrixKind.BINOM_ODD, n=n))
     even = build(MatrixSpec(MatrixKind.BINOM_EVEN, n=n))
-    product = bi @ odd
+    product = odd.shift_rows(1, 1)
     computed = first_difference(product, even)
     return finish_report("binom-even-from-odd", {"n": n}, "ok", computed, started)
 

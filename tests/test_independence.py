@@ -24,7 +24,6 @@ from wronskit import (
     is_constant,
     ladder_rung,
     ladder_wronskian,
-    row_shift_matrix,
     scaled_coordinate_matrix,
     two_by_two,
     verify_basis_columns,
@@ -191,7 +190,9 @@ def test_concurrent_cold_reads_build_the_serial_ladder(fresh_caches):
 
 def test_a_wrong_stack_fails_the_checks(monkeypatch, fresh_caches):
     # single shifts in place of double shifts: S no longer has the ladder's rows
-    monkeypatch.setattr(independence, "double_shift_matrix", row_shift_matrix)
+    shift_rows = ExactMatrix.shift_rows
+    monkeypatch.setattr(ExactMatrix, "shift_rows",
+                        lambda m, offset, start: shift_rows(m, 1 if offset == 2 else offset, start))
     for rep in (verify_wronskian_factorization(2, 1, Trig.COS), verify_dependence(1, Trig.SIN)):
         assert not rep.passed
         assert rep.computed.startswith("double-shift stack off the ladder: entry (")

@@ -539,7 +539,7 @@ def test_products_transposes_and_unit_lower_declare_their_scanned_ring(factors, 
     _check_ring(product, declared=True)
     _check_ring(product.transpose(), declared=True)
     offset = min(offset, n)
-    unit = ExactMatrix.unit_lower(n, offset, max(start, offset))
+    unit = ExactMatrix.unit_lower(n, offset, min(max(start, offset), n))
     _check_ring(unit, declared=True)
     _check_ring(unit.transpose(), declared=True)
     _check_ring(unit @ unit, declared=True)
@@ -615,6 +615,45 @@ def test_shift_products_scan_no_entry_and_a_rational_product_each_factor_once(mo
     product.determinant()
     product.determinant()
     assert product._den is not None and len(scanned) == 2
+
+
+def _int_rows(height: int, width: int):
+    return st.lists(st.lists(st.integers(-20, 20), min_size=width, max_size=width),
+                    min_size=height, max_size=height)
+
+
+@given(st.tuples(st.integers(1, 7), st.integers(1, 5)).flatmap(lambda hw: _int_rows(*hw)),
+       st.sampled_from([1, 2]), st.booleans())
+@settings(deadline=None, max_examples=100)
+def test_shift_rows_is_the_unit_lower_product(rows, offset, integral_fractions):
+    # integral Fractions make an int matrix at its scan
+    m = ExactMatrix([list(map(Fraction, row)) for row in rows] if integral_fractions else rows)
+    n = m.rows
+    for start in range(offset, n + 1):
+        got = m.shift_rows(offset, start)
+        unit = ExactMatrix.unit_lower(n, offset, start)
+        assert got == unit @ m == product_by_definition(unit, m), (offset, start)
+        assert all(got._r[i] is m._r[i] for i in range(start))
+        _check_ring(got, declared=True)
+    assert [list(m.row(i)) for i in range(n)] == rows
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), _int_rows(n, n))),
+       st.integers(-2, 8), st.integers(-2, 8), st.randoms())
+@settings(deadline=None, max_examples=100)
+def test_shift_rows_takes_int_matrices_and_shifts_inside_them(n_rows, offset, start, rng):
+    n, rows = n_rows
+    m = ExactMatrix(rows)
+    if 1 <= offset <= start <= n:
+        i, j = rng.randrange(n), rng.randrange(n)
+        for bad in (Fraction(2 * rng.randint(-5, 5) + 1, 2), random_trigpoly(rng)):
+            rows[i][j] = bad
+            with pytest.raises(TypeError, match="row shifts need an int matrix"):
+                ExactMatrix(rows).shift_rows(offset, start)
+        return
+    for op in (lambda: m.shift_rows(offset, start), lambda: ExactMatrix.unit_lower(n, offset, start)):
+        with pytest.raises(ValueError, match="row shift needs 1 <= offset <= start <= n"):
+            op()
 
 
 # Matrices over Q are stored as integer numerator rows over one denominator
