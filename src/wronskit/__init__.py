@@ -14,7 +14,6 @@ from .combinatorics import (
 from .independence import (
     ChainSpec,
     binomial_pattern_matrix,
-    conjugated_wronskian,
     coordinate_basis,
     coordinate_matrix,
     coordinates_in_basis,
@@ -48,7 +47,6 @@ from .structured import (
 from .trigring import (
     Trig,
     TrigPoly,
-    basis_element,
     differentiate,
     harmonic_step,
     is_constant,
@@ -63,13 +61,11 @@ __all__ = [
     "Trig",
     "TrigPoly",
     "VerificationReport",
-    "basis_element",
     "binomial",
     "binomial_pattern_matrix",
     "build",
     "check_even_binomial_sum",
     "check_odd_binomial_sum",
-    "conjugated_wronskian",
     "coordinate_basis",
     "coordinate_matrix",
     "coordinates_in_basis",

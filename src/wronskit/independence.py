@@ -5,11 +5,11 @@ The symbolic route takes Wronskian determinants exactly over the trig quotient
 ring after the paper's transformation: conjugation by the stacked double-shift
 product S keeps the determinant and sorts the entries onto the (D^2+1)-ladder,
 whose rungs from (D^2+1)^(n+1) f on vanish; its entries are closed-form rungs
-(trigring.ladder_rung).  Its reference S W S^T, taken via W's Hankel structure
-(matrix.conjugate_hankel), reads only k = 0 rungs, the plain derivatives of f,
-and reaches the ladder through S alone, so it tests the closed form's
-D^k (D+2i)^k factor; the k = 0 part is pinned by verify_basis_columns (the
-paper's coordinate closed form) and by the ring tests.
+(trigring.ladder_rung).  The transform checks read S H S^T one entry at a
+time from the Hankel values of H (_conjugated_entry): only k = 0 rungs, the
+plain derivatives of f, reaching the ladder through S alone, so they test the
+closed form's D^k (D+2i)^k factor; the k = 0 part is pinned by
+verify_basis_columns (the paper's coordinate closed form) and by the ring tests.
 The coordinate route expresses the derivatives in an integer basis and
 settles independence by exact rank.
 Both routes are kept separate on purpose so each can confirm the other.
@@ -18,11 +18,12 @@ Both routes are kept separate on purpose so each can confirm the other.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import binomial, falling_factorial
-from .matrix import Entry, ExactMatrix, conjugate_hankel, first_difference
+from .matrix import Entry, ExactMatrix, first_difference
 from .report import FrozenRecord, VerificationReport, finish_report
 from .structured import pascal_product
 from .trigring import (
@@ -76,12 +77,19 @@ def _double_shift_stack(size: int) -> tuple[ExactMatrix, str]:
     return stack, first_difference(stack, rungs)
 
 
-def conjugated_wronskian(spec: ChainSpec) -> ExactMatrix:
-    """S W S^T for the Wronskian matrix W of the chain, by conjugate_hankel
-    over W's Hankel values D^(shift+t) f: the reference for ladder_wronskian.
-    S is unit lower triangular, so the determinant is W's."""
-    h = [ladder_rung(spec.n, spec.kind, spec.shift + t, 0) for t in range(2 * spec.count - 1)]
-    return conjugate_hankel(_double_shift_stack(spec.count)[0], h)
+def _conjugated_entry(row_i: Sequence[int], row_j: Sequence[int], h: Sequence[Entry]) -> TrigPoly:
+    """Entry (i, j) of S H S^T for rows i and j of an int matrix S and the
+    Hankel matrix H[a, b] = h[a + b] (0-indexed): sum_t (s_i * s_j)_t h[t],
+    where s_i * s_j is the convolution of the two rows, taken as one
+    TrigPoly.sum_of_products over (coefficient, h[t], 1).  h holds at least
+    len(row_i) + len(row_j) - 1 values."""
+    conv = [0] * len(h)
+    for a, x in enumerate(row_i):
+        if x:
+            for t, y in enumerate(row_j, a):
+                if y:
+                    conv[t] += x * y
+    return TrigPoly.sum_of_products((c, v, 1) for c, v in zip(conv, h) if c)
 
 
 def ladder_wronskian(spec: ChainSpec) -> ExactMatrix:
@@ -139,12 +147,14 @@ def verify_dependence(n: int, kind: Trig = Trig.SIN) -> VerificationReport:
 
 def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Trig.SIN) -> VerificationReport:
     """Conjugating the even-derivative Hankel grid by the stacked row-shift
-    product (conjugate_hankel) must regrade it into the (D^2+1)-ladder grid,
+    product (_conjugated_entry) must regrade it into the (D^2+1)-ladder grid,
     entry for entry, preserving the determinant.
 
     Grid: (steps+1) x (steps+1) with entry (i, j) = D^(shift + 2(i+j-2)) f.
     After conjugation entry (i, j) must be D^shift (D^2+1)^(i+j-2) f.  This is
-    pure operator algebra, so it holds for any f; here f = x^n trig.
+    pure operator algebra, so it holds for any f; here f = x^n trig.  The grid
+    is symmetric, so is its conjugate: entries with i <= j are computed and
+    mirrored.
     """
     started = time.perf_counter()
     if steps < 1 or shift < 0 or n < 0:
@@ -152,7 +162,12 @@ def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Tr
     size = steps + 1
     h = [ladder_rung(n, kind, shift + 2 * t, 0) for t in range(2 * size - 1)]
     grid = ExactMatrix([[h[i + j] for j in range(size)] for i in range(size)])
-    conj = conjugate_hankel(pascal_product(size), h)
+    stack = pascal_product(size)
+    entries = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            entries[i][j] = entries[j][i] = _conjugated_entry(stack.row(i), stack.row(j), h)
+    conj = ExactMatrix(entries)
     target = ExactMatrix([[ladder_rung(n, kind, shift, i + j) for j in range(size)]
                           for i in range(size)])
     params = {"steps": steps, "shift": shift, "n": n, "kind": kind.value}
@@ -166,15 +181,43 @@ def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Tr
 
 
 def verify_wronskian_transform(n: int, kind: Trig = Trig.SIN) -> VerificationReport:
-    """Conjugating the full 2n x 2n Wronskian matrix of f = x^n trig by the
-    stacked double-shift product (conjugated_wronskian) must sort every entry
-    onto the (D^2+1)-ladder of ladder_wronskian."""
+    """Conjugating the full 2n x 2n Wronskian matrix W of f = x^n trig by the
+    stacked double-shift product S must sort every entry onto the
+    (D^2+1)-ladder of ladder_wronskian.
+
+    The check first requires _double_shift_stack's comparison to read 'ok':
+    row i of S holds the coefficients of P_i(D) = D^(i mod 2) (D^2+1)^(i//2).
+    Then entry (i, j) of S W S^T is (P_i P_j)(D) f, which depends only on the
+    class (e, k) = (i mod 2 + j mod 2, i//2 + j//2), and must be the rung
+    D^e (D^2+1)^k f.  So one entry per class, the first in row-major order,
+    is taken from W's Hankel values (_conjugated_entry) and compared with
+    ladder_rung(n, kind, e, k): 6n - 3 entries instead of 4n^2.  The first
+    entry that differs is also the first of the whole matrix, and is reported
+    as first_difference reports it.
+    """
     started = time.perf_counter()
     if n < 1:
         raise ValueError("transform needs n >= 1")
-    spec = ChainSpec(n, 0, kind, 2 * n)
-    return finish_report("wronskian-transform", {"n": n, "kind": kind.value}, "ok",
-                         first_difference(conjugated_wronskian(spec), ladder_wronskian(spec)), started)
+    params = {"n": n, "kind": kind.value}
+    size = 2 * n
+    stack, difference = _double_shift_stack(size)
+    if difference != "ok":
+        return finish_report("wronskian-transform", params, "ok",
+                             f"double-shift stack off the ladder: {difference}", started)
+    h = [ladder_rung(n, kind, t, 0) for t in range(2 * size - 1)]
+    seen = set()
+    for i in range(size):
+        for j in range(size):
+            e, k = i % 2 + j % 2, i // 2 + j // 2
+            if (e, k) in seen:
+                continue
+            seen.add((e, k))
+            got = _conjugated_entry(stack.row(i), stack.row(j), h)
+            want = ladder_rung(n, kind, e, k)
+            if got != want:
+                return finish_report("wronskian-transform", params, "ok",
+                                     f"entry ({i + 1},{j + 1}) is {got}, want {want}", started)
+    return finish_report("wronskian-transform", params, "ok", "ok", started)
 
 
 def coordinate_basis(n: int) -> tuple[tuple[int, Trig], ...]:

@@ -8,9 +8,8 @@ per nonzero left entry; ``shift_rows``, an int matrix's product by a unit
 lower shift matrix as row additions, with no shift matrix built or
 multiplied; one fraction-free (Bareiss) elimination for the rank and
 determinant over Z and Q; a division-free determinant memoized over column
-subsets for TrigPoly entries, each minor one TrigPoly.sum_of_products; the
-interleave split of a checkerboard matrix; and the conjugation S H S^T of a
-Hankel matrix H by a nonnegative int matrix S.
+subsets for TrigPoly entries, each minor one TrigPoly.sum_of_products; and the
+interleave split of a checkerboard matrix.
 
 A matrix over Q holds no Fraction.  It is stored as integer numerator rows,
 each over one positive row denominator and in lowest terms, so equal
@@ -171,8 +170,7 @@ class ExactMatrix:
         and a row one unit entry passes through is shared).  Over Q the
         right factor's numerators are brought over the lcm of its row
         denominators, and output row i is over that lcm times left row i's
-        denominator.  A TrigPoly operand raises TypeError, as in ``rank``;
-        ``conjugate_hankel`` covers the ring's one product."""
+        denominator.  A TrigPoly operand raises TypeError, as in ``rank``."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self._cols != other.rows:
@@ -407,42 +405,6 @@ def _row_combinations(left: Iterable[Sequence[int]], right: Sequence[Sequence[in
                 terms = map(mul, repeat(e), terms)
             acc = terms if acc is None else list(map(add, acc, terms))
         yield zero if acc is None else acc
-
-
-def conjugate_hankel(stack: ExactMatrix, h: Sequence[Entry]) -> ExactMatrix:
-    """S H S^T for a matrix S of nonnegative ints with k columns and the
-    k x k Hankel matrix H of the 2k-1 values h, H[a, b] = h[a + b] (0-indexed).
-
-    Entry (i, j) is sum_t (s_i * s_j)_t h[t], where s_i * s_j is the
-    convolution of rows i and j of S.  Each row is packed into one int, entry
-    a in the w-bit slot a (Kronecker substitution), so every convolution is
-    one int product.  A convolution coefficient is at most the product of
-    the two row sums, below 2^w for w = 2 * (bit length of the largest row
-    sum), so no slot carries into the next.  Entries with the same packed
-    product share one TrigPoly.sum_of_products over (coefficient, h[t]).
-    """
-    k = stack.cols
-    if len(h) != 2 * k - 1:
-        raise ValueError(f"a Hankel matrix of order {k} needs {2 * k - 1} values, got {len(h)}")
-    if stack._entry_ring() is not int or min(map(min, stack._r)) < 0:
-        raise ValueError("Hankel conjugation needs a matrix of nonnegative ints")
-    rows = stack._r
-    width = 2 * max(map(sum, rows)).bit_length()
-    mask = (1 << width) - 1
-    packed = [sum(v << (a * width) for a, v in enumerate(row)) for row in rows]
-    memo: dict[int, Entry] = {}
-    out = []
-    for a in packed:
-        line = []
-        for b in packed:
-            prod = a * b
-            got = memo.get(prod)
-            if got is None:
-                coeffs = ((prod >> (t * width)) & mask for t in range(len(h)))
-                memo[prod] = got = TrigPoly.sum_of_products((c, v, 1) for c, v in zip(coeffs, h) if c)
-            line.append(got)
-        out.append(tuple(line))
-    return ExactMatrix._of(tuple(out), len(out), TrigPoly)
 
 
 def first_difference(got: ExactMatrix, want: ExactMatrix) -> str:

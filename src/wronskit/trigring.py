@@ -16,8 +16,8 @@ operations build their results clean and wrap them as they are.
 Every product of two elements goes through one kernel,
 ``TrigPoly.sum_of_products``: it accumulates a whole signed sum of products
 into one pair of term dicts, so a determinant's cofactor expansion or an
-entry of a Hankel conjugation (matrix.conjugate_hankel) builds no
-intermediate product and copies no partial sum.
+entry of a Hankel conjugation S H S^T (independence._conjugated_entry)
+builds no intermediate product and copies no partial sum.
 
 Every derivative and (D^2+1)-ladder rung of x^n trig has a closed form
 (ladder_rung), tested against differentiate and harmonic_step, the ring's own
@@ -252,15 +252,6 @@ def _render(terms: list[tuple[Coeff, str]]) -> str:
         else:
             out.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(out)
-
-
-def basis_element(power: int, kind: Trig) -> TrigPoly:
-    """x^power * sin x  or  x^power * cos x."""
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    if kind is Trig.SIN:
-        return TrigPoly(None, {(power, 0): 1})
-    return TrigPoly({(power, 1): 1}, None)
 
 
 def differentiate(u: TrigPoly) -> TrigPoly:

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's own algorithms: the
 determinant is a plain permutation sum, the rank a row echelon form by
 Fraction division, the matrix product a plain triple sum over every entry,
-zero or not, the binomial sums add Fraction terms with math.comb, and
-derivatives are cross-checked by floating central differences.
+zero or not (a conjugation S M S^T is two of them), the binomial sums add
+Fraction terms with math.comb, x^n sin x and x^n cos x are written as
+literal terms, and derivatives are cross-checked by floating central
+differences.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from fractions import Fraction
 from random import Random
 
-from wronskit import ExactMatrix, TrigPoly
+from wronskit import ExactMatrix, Trig, TrigPoly
 
 
 def determinant_by_permutations(m: ExactMatrix):
@@ -59,6 +61,20 @@ def product_by_definition(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([
         [sum((a[i, k] * b[k, j] for k in range(a.cols)), 0) for j in range(b.cols)]
         for i in range(a.rows)])
+
+
+def conjugate_by_definition(stack: ExactMatrix, middle: ExactMatrix) -> ExactMatrix:
+    """S M S^T as two products by definition."""
+    return product_by_definition(product_by_definition(stack, middle), stack.transpose())
+
+
+def basis_element(power: int, kind: Trig) -> TrigPoly:
+    """x^power * sin x  or  x^power * cos x, as literal terms."""
+    if power < 0:
+        raise ValueError("power must be >= 0")
+    if kind is Trig.SIN:
+        return TrigPoly(None, {(power, 0): 1})
+    return TrigPoly({(power, 1): 1}, None)
 
 
 def eval_float(u: TrigPoly, x: float) -> float:

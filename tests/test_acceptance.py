@@ -20,14 +20,13 @@ from wronskit import (
     MatrixKind,
     MatrixSpec,
     Trig,
-    basis_element,
     check_even_binomial_sum,
     check_odd_binomial_sum,
-    conjugated_wronskian,
     coordinate_matrix,
     det_identity,
     differentiate,
     harmonic_step,
+    independence,
     is_constant,
     ladder_rung,
     ladder_wronskian,
@@ -45,7 +44,9 @@ from wronskit import (
 )
 from wronskit.cli import SuiteConfig, run_checks
 from oracles import (
+    basis_element,
     central_difference,
+    conjugate_by_definition,
     determinant_by_permutations,
     eval_exact,
     eval_float,
@@ -273,12 +274,15 @@ def test_wronskian_factorization():
         specs += [ChainSpec(n, 0, Trig.SIN, 2 * n + 3) for n in range(3)]
         specs += [ChainSpec(2, 1, Trig.SIN, 3), ChainSpec(3, 0, Trig.COS, 5)]
         for spec in specs:
-            want = wronskian_hankel(spec).determinant()
-            for form in (conjugated_wronskian(spec), ladder_wronskian(spec)):
+            grid = wronskian_hankel(spec)
+            want = grid.determinant()
+            conjugated = conjugate_by_definition(independence._double_shift_stack(spec.count)[0], grid)
+            for form in (conjugated, ladder_wronskian(spec)):
                 assert form.determinant() == want, spec
                 if spec.count <= 6:
                     assert determinant_by_permutations(form) == want, spec
-        assert all(is_constant(conjugated_wronskian(spec).determinant()) is None for spec in specs[-2:])
+            if spec in specs[-2:]:
+                assert is_constant(want) is None, spec
 
 
 def test_wronskian_dependence():
@@ -338,14 +342,21 @@ def test_hankel_and_wronskian_transforms():
 
 
 def test_reference_witnesses():
-    # the literal S W S^T at orders 24 and 60 (slots of about 60 bits), and a
-    # 9 x 9 even-Hankel grid conjugated with both determinants taken by the
-    # subset DP over the ring
+    # S W S^T at orders 24 and 60, one entry per ladder class from W's Hankel
+    # values, and a 9 x 9 even-Hankel grid conjugated with both determinants
+    # taken by the subset DP over the ring
     with criterion("reference-witnesses", 10.0):
         for rep in (verify_wronskian_transform(12), verify_wronskian_transform(12, Trig.COS),
                     verify_wronskian_transform(30), verify_wronskian_transform(30, Trig.COS),
                     verify_even_hankel_transform(8, 2, 8, Trig.COS)):
             assert rep.passed and rep.computed == "ok", rep.line()
+
+
+def test_wronskian_transform_at_n_100():
+    # an order-200 S W S^T, read at its 597 ladder classes
+    with criterion("wronskian-transform-100", 8.0):
+        rep = verify_wronskian_transform(100)
+        assert rep.passed and rep.computed == "ok", rep.line()
 
 
 def test_ring_correctness():

@@ -12,10 +12,8 @@ from wronskit import (
     MatrixSpec,
     Trig,
     TrigPoly,
-    basis_element,
     binomial_pattern_matrix,
     build,
-    conjugated_wronskian,
     coordinate_basis,
     coordinate_matrix,
     coordinates_in_basis,
@@ -35,8 +33,7 @@ from wronskit import (
     wronskian_hankel,
 )
 from wronskit import independence, trigring
-from wronskit.matrix import conjugate_hankel
-from oracles import determinant_by_permutations, rank_by_elimination
+from oracles import basis_element, conjugate_by_definition, determinant_by_permutations, rank_by_elimination
 
 S = basis_element(0, Trig.SIN)
 C = basis_element(0, Trig.COS)
@@ -92,6 +89,12 @@ def test_wronskian_values_match_permutation_oracle():
     assert w1.determinant() == determinant_by_permutations(w1) == 16
 
 
+def _conjugated_by_definition(spec: ChainSpec) -> ExactMatrix:
+    """S W S^T for the chain's Wronskian matrix W and the double-shift stack S,
+    by two products by definition."""
+    return conjugate_by_definition(independence._double_shift_stack(spec.count)[0], wronskian_hankel(spec))
+
+
 def test_ladder_matches_the_ring_product():
     for n in range(7):
         for shift in (0, 1, 2):
@@ -99,7 +102,7 @@ def test_ladder_matches_the_ring_product():
                 for count in range(1, 2 * n + 5):
                     spec = ChainSpec(n, shift, kind, count)
                     ladder = ladder_wronskian(spec)
-                    assert ladder == conjugated_wronskian(spec), spec
+                    assert ladder == _conjugated_by_definition(spec), spec
                     assert all(isinstance(v, TrigPoly) for i in range(count) for v in ladder.row(i))
 
 
@@ -193,11 +196,50 @@ def test_a_wrong_stack_fails_the_checks(monkeypatch, fresh_caches):
     shift_rows = ExactMatrix.shift_rows
     monkeypatch.setattr(ExactMatrix, "shift_rows",
                         lambda m, offset, start: shift_rows(m, 1 if offset == 2 else offset, start))
-    for rep in (verify_wronskian_factorization(2, 1, Trig.COS), verify_dependence(1, Trig.SIN)):
+    for rep in (verify_wronskian_factorization(2, 1, Trig.COS), verify_dependence(1, Trig.SIN),
+                verify_wronskian_transform(2, Trig.SIN)):
         assert not rep.passed
         assert rep.computed.startswith("double-shift stack off the ladder: entry (")
         assert ", want " in rep.computed
         assert "-> FAIL" in rep.line()
+
+
+def _first_of_class(size: int, e: int, k: int) -> tuple[int, int]:
+    """The first (i, j) in row-major order, 0-indexed, of the ladder class (e, k)."""
+    return next((i, j) for i in range(size) for j in range(size)
+                if (i % 2 + j % 2, i // 2 + j // 2) == (e, k))
+
+
+def test_a_wrong_rung_in_any_class_fails_the_transform_check(monkeypatch, fresh_caches):
+    # every class is read: a wrong target at any k >= 1 rung, the last class
+    # (2, 2n-2) among them, is reported at the class's first entry
+    n = 3
+    rung = ladder_rung
+    for e in range(3):
+        for k in range(1, 2 * n - 1):
+            monkeypatch.setattr(independence, "ladder_rung", lambda power, kind, order, depth:
+                                rung(power, kind, order, depth) + ((order, depth) == (e, k)))
+            rep = verify_wronskian_transform(n, Trig.COS)
+            i, j = _first_of_class(2 * n, e, k)
+            want = rung(n, Trig.COS, e, k) + 1
+            assert not rep.passed, (e, k)
+            assert rep.computed == f"entry ({i + 1},{j + 1}) is {rung(n, Trig.COS, e, k)}, want {want}", (e, k)
+    monkeypatch.setattr(independence, "ladder_rung", rung)
+    assert verify_wronskian_transform(n, Trig.COS).passed
+
+
+def test_transform_entries_match_the_product_by_definition():
+    for n in range(1, 13):
+        for kind in (Trig.SIN, Trig.COS):
+            spec = ChainSpec(n, 0, kind, 2 * n)
+            stack = independence._double_shift_stack(2 * n)[0]
+            want = _conjugated_by_definition(spec)
+            h = [ladder_rung(n, kind, t, 0) for t in range(4 * n - 1)]
+            for i in range(2 * n):
+                for j in range(2 * n):
+                    got = independence._conjugated_entry(stack.row(i), stack.row(j), h)
+                    assert got == want[i, j] == ladder_rung(n, kind, i % 2 + j % 2, i // 2 + j // 2), (spec, i, j)
+            assert verify_wronskian_transform(n, kind).computed == "ok", spec
 
 
 def test_determinants_make_no_ring_product(fresh_caches):
@@ -209,7 +251,8 @@ def test_determinants_make_no_ring_product(fresh_caches):
             a @ b
     assert verify_wronskian_factorization(4, 2, Trig.COS).passed
     assert verify_dependence(4, Trig.SIN).passed
-    assert conjugated_wronskian(ChainSpec(1, 0, Trig.SIN, 4)) == ladder_wronskian(ChainSpec(1, 0, Trig.SIN, 4))
+    spec = ChainSpec(1, 0, Trig.SIN, 4)
+    assert _conjugated_by_definition(spec) == ladder_wronskian(spec)
 
 
 def test_wronskian_factorization_reports():
@@ -237,7 +280,8 @@ def test_even_hankel_transform_small_case_detail():
     h = [f, ladder_rung(1, Trig.SIN, 2, 0), ladder_rung(1, Trig.SIN, 4, 0)]
     grid = ExactMatrix([[h[0], h[1]], [h[1], h[2]]])
     stack = ExactMatrix([[1, 0], [1, 1]])
-    conj = conjugate_hankel(stack, h)
+    conj = ExactMatrix([[independence._conjugated_entry(stack.row(i), stack.row(j), h) for j in range(2)]
+                        for i in range(2)])
     assert conj[0, 0] == f
     assert conj[0, 1] == harmonic_step(f)
     assert conj[1, 1] == harmonic_step(harmonic_step(f))

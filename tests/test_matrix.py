@@ -12,16 +12,16 @@ from wronskit import (
     MatrixSpec,
     Trig,
     TrigPoly,
-    basis_element,
     build,
     first_difference,
     ladder_wronskian,
     pascal_product,
 )
 from wronskit import matrix
-from wronskit.independence import _double_shift_stack
-from wronskit.matrix import conjugate_hankel
+from wronskit.independence import _conjugated_entry, _double_shift_stack
 from oracles import (
+    basis_element,
+    conjugate_by_definition,
     determinant_by_permutations,
     product_by_definition,
     rank_by_elimination,
@@ -176,36 +176,24 @@ def test_matmul_rejects_trigpoly_operands():
             a @ b
 
 
-def _hankel(h) -> ExactMatrix:
-    k = (len(h) + 1) // 2
-    return ExactMatrix([[h[a + b] for b in range(k)] for a in range(k)])
-
-
 @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from((3, 2 ** 20, 2 ** 40)), st.randoms())
 @settings(deadline=None, max_examples=60)
 def test_conjugate_hankel_matches_product_by_definition(order, height, bound, rng):
-    # entries up to 2^40 give slots wider than 64 bits; about a third of the
-    # entries and one row in four are zero
-    h = [random_trigpoly(rng, terms=3, bound=3) for _ in range(2 * order - 1)]
+    # S H S^T one entry at a time (_conjugated_entry) against two products by
+    # definition: entries of either sign up to 2^40, about a third of them and
+    # one row in four zero, and some Hankel values ints
+    h = [random_trigpoly(rng, terms=3, bound=3) if rng.random() < 0.8 else rng.randint(-3, 3)
+         for _ in range(2 * order - 1)]
     stack = ExactMatrix([
-        [0 if zero_row or rng.random() < 0.3 else rng.randint(1, bound) for _ in range(order)]
+        [0 if zero_row or rng.random() < 0.3 else rng.choice((-1, 1)) * rng.randint(1, bound)
+         for _ in range(order)]
         for zero_row in (rng.random() < 0.25 for _ in range(height))])
-    got = conjugate_hankel(stack, h)
-    want = product_by_definition(product_by_definition(stack, _hankel(h)), stack.transpose())
-    assert (got.rows, got.cols) == (height, height)
+    want = conjugate_by_definition(stack, ExactMatrix([[h[a + b] for b in range(order)] for a in range(order)]))
     for i in range(height):
         for j in range(height):
-            assert got[i, j] == want[i, j] and str(got[i, j]) == str(want[i, j]), (i, j)
-
-
-def test_conjugate_hankel_rejects_bad_inputs():
-    h = [S, C, S]
-    with pytest.raises(ValueError):
-        conjugate_hankel(ExactMatrix([[1, 0]]), h[:2])
-    for stack in (ExactMatrix([[1, -1]]), ExactMatrix([[1, Fraction(1, 2)]]), ExactMatrix([[S, 1]])):
-        with pytest.raises(ValueError):
-            conjugate_hankel(stack, h)
-    assert conjugate_hankel(ExactMatrix([[0, 0]]), h) == ExactMatrix([[0]])
+            got = _conjugated_entry(stack.row(i), stack.row(j), h)
+            assert isinstance(got, TrigPoly), (i, j)
+            assert got == want[i, j] and str(got) == str(want[i, j]), (i, j)
 
 
 def test_determinant_small_cases():
@@ -483,8 +471,7 @@ def test_entries_outside_the_exact_rings_are_refused(bad):
     m = ExactMatrix([[bad, 1], [1, 1]])
     ints = ExactMatrix([[1, 2], [3, 4]])
     name = type(bad).__name__
-    for op in (lambda: m @ ints, lambda: ints @ m, m.determinant, m.rank,
-               lambda: conjugate_hankel(m, [S, C, S])):
+    for op in (lambda: m @ ints, lambda: ints @ m, m.determinant, m.rank):
         with pytest.raises(TypeError, match=f"must be int, Fraction or TrigPoly, not {name}"):
             op()
     # a TrigPoly operand keeps its own messages
@@ -572,16 +559,6 @@ def test_every_built_kind_declares_its_scanned_ring(kind, data):
     m = build(data.draw(_spec(kind)))
     _check_ring(m, declared=True)
     _check_ring(m.transpose(), declared=True)
-
-
-@given(st.integers(1, 5), st.integers(1, 5), st.randoms())
-@settings(deadline=None, max_examples=30)
-def test_hankel_conjugation_declares_trigpoly(order, height, rng):
-    h = [random_trigpoly(rng, terms=2, bound=3) for _ in range(2 * order - 1)]
-    if rng.random() < 0.25:  # int Hankel values still give TrigPoly entries
-        h = [rng.randint(0, 3) for _ in h]
-    stack = ExactMatrix([[rng.randint(0, 3) for _ in range(order)] for _ in range(height)])
-    _check_ring(conjugate_hankel(stack, h), declared=True)
 
 
 @given(st.integers(0, 4), st.integers(0, 3), st.sampled_from(list(Trig)), st.integers(1, 6))

@@ -9,14 +9,13 @@ from wronskit import (
     ExactMatrix,
     Trig,
     TrigPoly,
-    basis_element,
     differentiate,
     harmonic_step,
     is_constant,
     ladder_rung,
     trigring,
 )
-from oracles import CIRCLE_POINTS, central_difference, eval_exact, eval_float, random_trigpoly
+from oracles import CIRCLE_POINTS, basis_element, central_difference, eval_exact, eval_float, random_trigpoly
 
 S = basis_element(0, Trig.SIN)
 C = basis_element(0, Trig.COS)
