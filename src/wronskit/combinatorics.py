@@ -1,9 +1,9 @@
 """Exact combinatorial primitives.
 
 Falling factorials, binomial coefficients with arbitrary rational upper
-argument (one at a time, or for an int upper argument a whole column
-C(x, 0..size-1) as one running product), and the two binomial-sum identity
-checkers used by the determinant verifiers.
+argument (one at a time, or for int upper arguments a whole column
+C(x, 0..size-1) or whole rows C(x_j, i) as running products), and the two
+binomial-sum identity checkers used by the determinant verifiers.
 All arithmetic is over int / fractions.Fraction; nothing here rounds.
 """
 
@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, mul, sub
 
 from .report import VerificationReport, finish_report
 
@@ -76,6 +79,17 @@ def binomial_column(x: int, size: int) -> list[int]:
         c = c * (x - i + 1) // i
         out.append(c)
     return out
+
+
+def binomial_rows(nums: Sequence[int], count: int) -> Iterator[tuple[int, ...]]:
+    """The rows (C(x, i) for x in nums) for i = 0 .. count-1, for int nums,
+    each from the one before as C(x, i) = C(x, i-1) (x-i+1) // i, an exact
+    division for either sign of x, in C-level maps."""
+    row = (1,) * len(nums)
+    for i in range(count):
+        if i:
+            row = tuple(map(floordiv, map(mul, row, map(sub, nums, repeat(i - 1))), repeat(i)))
+        yield row
 
 
 def check_odd_binomial_sum(n: int, j: int) -> VerificationReport:

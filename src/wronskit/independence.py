@@ -18,11 +18,11 @@ Both routes are kept separate on purpose so each can confirm the other.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import binomial, falling_factorial
+from .combinatorics import binomial_column, binomial_rows, falling_factorial
 from .matrix import Entry, ExactMatrix, first_difference
 from .report import FrozenRecord, VerificationReport, finish_report
 from .structured import pascal_product
@@ -72,9 +72,12 @@ def _double_shift_stack(size: int) -> tuple[ExactMatrix, str]:
     stack = ExactMatrix.identity(size)
     for k in range(1, (size + 1) // 2):
         stack = stack.shift_rows(2, 2 * k)
-    rungs = ExactMatrix.from_fn(
-        size, size, lambda i, j: binomial((i - 1) // 2, (j - 1) // 2) if (i - j) % 2 == 0 else 0)
-    return stack, first_difference(stack, rungs)
+    rungs = []
+    for i in range(size):
+        row = [0] * size
+        row[i % 2::2] = binomial_column(i // 2, (size - i % 2 + 1) // 2)
+        rungs.append(tuple(row))
+    return stack, first_difference(stack, ExactMatrix._of(tuple(rungs), size, int))
 
 
 def _conjugated_entry(row_i: Sequence[int], row_j: Sequence[int], h: Sequence[Entry]) -> TrigPoly:
@@ -258,20 +261,24 @@ def coordinate_matrix(n: int) -> ExactMatrix:
 
     Entry (i, j): a parity gate (zero unless i+j is even), a sign read off two
     floor expressions, the binomial C(j, floor((2i-1)/4)) and the falling
-    factorial of n of the same depth.
+    factorial of n of the same depth.  Built a row at a time from
+    ``_pattern_rows``: row i is its pattern row times the row scale
+    (-1)^floor((2i+1)/8) ff(n, depth), a running product over the depths,
+    and the column signs (-1)^floor((2j+1)/4).
     """
     if n < 1:
         raise ValueError("coordinate matrix needs n >= 1")
-
-    def entry(i: int, j: int) -> int:
-        if (i + j) % 2:
-            return 0
+    size = 2 * n + 2
+    col_signs = [-1 if ((2 * j + 1) // 4) % 2 else 1 for j in range(1, size + 1)]
+    rows = []
+    ff = 1
+    for i, row in enumerate(_pattern_rows(n), 1):
         depth = (2 * i - 1) // 4
-        exponent = (2 * j + 1) // 4 + (2 * i + 1) // 8
-        sign = -1 if exponent % 2 else 1
-        return sign * binomial(j, depth) * falling_factorial(n, depth)
-
-    return ExactMatrix.from_fn(2 * n + 2, 2 * n + 2, entry)
+        if i % 2 and depth:
+            ff *= n - depth + 1
+        scale = -ff if ((2 * i + 1) // 8) % 2 else ff
+        rows.append(tuple([scale * c * v for c, v in zip(col_signs, row)]))
+    return ExactMatrix._of(tuple(rows), size, int)
 
 
 def scaled_coordinate_matrix(mat: ExactMatrix, n: int) -> ExactMatrix:
@@ -299,13 +306,22 @@ def scaled_coordinate_matrix(mat: ExactMatrix, n: int) -> ExactMatrix:
     return ExactMatrix._over(rows, dens, size)
 
 
+def _pattern_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """The rows of binomial_pattern_matrix(n): rows 2d+1 and 2d+2
+    (1-indexed) share the depth d = floor((2i-1)/4) and take the odd and the
+    even columns of one ``binomial_rows`` row C(j, d), j = 1 .. 2n+2."""
+    size = 2 * n + 2
+    for binoms in binomial_rows(range(1, size + 1), n + 1):
+        for parity in (0, 1):
+            row = [0] * size
+            row[parity::2] = binoms[parity::2]
+            yield tuple(row)
+
+
 def binomial_pattern_matrix(n: int) -> ExactMatrix:
     """The parity-gated binomial pattern: entry (i, j) = C(j, floor((2i-1)/4))
     when i+j is even, else 0."""
-    size = 2 * n + 2
-    return ExactMatrix.from_fn(
-        size, size,
-        lambda i, j: binomial(j, (2 * i - 1) // 4) if (i + j) % 2 == 0 else 0)
+    return ExactMatrix._of(tuple(_pattern_rows(n)), 2 * n + 2, int)
 
 
 def verify_basis_columns(n: int) -> VerificationReport:
@@ -332,17 +348,27 @@ def verify_full_rank(n: int) -> VerificationReport:
     Only a singular scaled matrix is eliminated for its rank; the raw M, whose
     entries carry the falling factorials, never is.
 
-    Also factors the scaled matrix through its interleave split: the
-    determinant must equal det(odd block) * det(even block) =
-    2^C(n+1,2) * 2^C(n+1,2) = 2^(n(n+1)).  The note records that exponent
-    next to the inconsistent quoted closed form 2^(n(n-1)).
+    The whole determinant is taken by step-2 column differences
+    (``ExactMatrix.difference_determinant(2)``, the double shift), which
+    make the parity-gated binomial pattern triangular with diagonal
+    2^floor((2i-1)/4); a matrix they do not reduce falls back to
+    ``determinant``.  It is also factored through the interleave split: it
+    must equal det(odd block) * det(even block) = 2^C(n+1,2) * 2^C(n+1,2)
+    = 2^(n(n+1)).  The blocks are the binom-odd and binom-even patterns,
+    which ``determinant`` reduces by step-1 differences, so the split is a
+    second code path that cross-checks the whole.  The note records the
+    exponent next to the inconsistent quoted closed form 2^(n(n-1)).  At
+    n = 100 the check takes about 0.25 s on a 2-core x86 machine, most of it
+    the three difference determinants (15.6 s by elimination).
     """
     started = time.perf_counter()
     scaled = scaled_coordinate_matrix(coordinate_matrix(n), n)
     pattern_ok = scaled == binomial_pattern_matrix(n)
     odd, even = scaled.interleave_split()
     det_product = odd.determinant() * even.determinant()
-    det_whole = scaled.determinant()
+    det_whole = scaled.difference_determinant(2)
+    if det_whole is None:
+        det_whole = scaled.determinant()
     rank = 2 * n + 2 if det_whole else scaled.rank()
     closed = 2 ** (n * (n + 1))
     quoted = 2 ** (n * (n - 1))

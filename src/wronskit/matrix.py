@@ -6,9 +6,13 @@ determinant or rank first needs it, refusing an entry of any other type.
 Operations: a product over Z and Q that sums the right factor's rows, one
 per nonzero left entry; ``shift_rows``, an int matrix's product by a unit
 lower shift matrix as row additions, with no shift matrix built or
-multiplied; one fraction-free (Bareiss) elimination for the rank and
-determinant over Z and Q; a division-free determinant memoized over column
-subsets for TrigPoly entries, each minor one TrigPoly.sum_of_products; and the
+multiplied; ``difference_determinant``, the paper's row-shift stack run
+backwards as signed column differences, which makes every affine binomial
+matrix (step 1) and the coordinate checkerboard (step 2) triangular and
+checks that it did; one fraction-free (Bareiss) elimination for the rank
+over Z and Q and for every determinant there that the differences do not
+reduce; a division-free determinant memoized over column subsets for
+TrigPoly entries, each minor one TrigPoly.sum_of_products; and the
 interleave split of a checkerboard matrix.
 
 A matrix over Q holds no Fraction.  It is stored as integer numerator rows,
@@ -25,10 +29,10 @@ that learns its ring."""
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
-from operator import add, floordiv, mul
+from itertools import chain, compress, count, islice, repeat
+from operator import add, floordiv, mul, ne, sub
 
 from .combinatorics import common_denominator
 from .trigring import TrigPoly
@@ -88,11 +92,6 @@ class ExactMatrix:
             m._den = tuple(reduced)
             m._ring = Fraction
         return m
-
-    @classmethod
-    def from_fn(cls, rows: int, cols: int, fn: Callable[[int, int], Entry]) -> "ExactMatrix":
-        """Build from a 1-indexed entry function fn(i, j)."""
-        return cls([[fn(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -246,11 +245,63 @@ class ExactMatrix:
             return r, sign * prev
         return r, Fraction(sign * prev, math.prod(self._den))
 
+    def difference_determinant(self, step: int = 1) -> Entry | None:
+        """The determinant by signed column differences, or None where they
+        do not make the matrix triangular.  Rows and columns are 0-indexed.
+
+        Round k = 1, 2, ... subtracts column j - step from column j for every
+        j >= step k, all at once: a unit upper triangular column transform,
+        which keeps the determinant.  Row i of an affine binomial matrix,
+        C(a (j+1) + b, i), is a polynomial of degree i in j with leading
+        coefficient a^i / i!, so step 1 leaves a^i on its diagonal and zeros
+        right of it (binom-odd, binom-even, binom-affine: any int or
+        rational a != 0 and b).  On the parity-gated pattern of the
+        coordinate route, C(j+1, i//2) where i+j is even, step 2 (the double
+        shift) does the same with the diagonal 2^(i//2).
+
+        Triangularity is checked, never assumed.  Rounds after i//step + 1
+        touch only columns right of row i's diagonal and keep zeros there at
+        zero, so each row is taken alone, and the first with a nonzero entry
+        right of its diagonal gives None.  Round k reads no column left of
+        step (k-1), so after it only the row's entries from column step k on
+        are kept, as a new list (one C-level map per round).  After round
+        i//step the diagonal is final and sits at place i % step; the last
+        round, i//step + 1, must leave zeros, that is the kept entries must
+        repeat with period step, which is tested by comparison, not
+        subtraction.  Otherwise the determinant is the diagonal product,
+        exact: over Q it is Fraction(product, product of the row
+        denominators), as ``_bareiss`` gives it.  O(n^3 / step) subtractions
+        and no division; a TrigPoly or non-square matrix gives None, and a
+        step below 1 raises ValueError.
+        """
+        if step < 1:
+            raise ValueError(f"difference step must be >= 1, got {step}")
+        if len(self._r) != self._cols or self._entry_ring() is TrigPoly:
+            return None
+        det = 1
+        for i, row in enumerate(self._r):
+            for _ in range(i // step):
+                row = list(map(sub, islice(row, step, None), row))
+            d = i % step
+            if any(islice(row, d + 1, step)) or any(map(ne, islice(row, step, None), row)):
+                return None
+            det *= row[d]
+        if self._den is None:
+            return det
+        return Fraction(det, math.prod(self._den))
+
     def determinant(self) -> Entry:
         """Exact determinant of a square matrix.
 
-        Integer and rational matrices go through the Bareiss elimination that
-        ``rank`` uses: O(n^3) operations on the integer rows.  A matrix with
+        Integer and rational matrices first try ``difference_determinant``
+        with step 1.  It reduces every affine binomial matrix to a
+        triangular one in O(n^3) subtractions: at order 100 in 20 to 35 ms,
+        against 1.4 to 3.6 s of elimination.  A matrix that does not reduce
+        costs one or two rows of subtractions before None: a random matrix
+        fails at its first row, C(x_j, i) over nodes off an arithmetic
+        progression at its second.  Such a matrix goes through the Bareiss
+        elimination that ``rank`` uses: O(n^3) multiplications and exact
+        divisions on the integer rows.  A matrix with
         a TrigPoly entry takes the division-free expansion along the last row
         of each leading-rows submatrix, memoized over column subsets: O(n 2^n)
         ring operations instead of n!, each minor of two or more rows one
@@ -259,7 +310,8 @@ class ExactMatrix:
         if len(self._r) != self._cols:
             raise ValueError("determinant needs a square matrix")
         if self._entry_ring() is not TrigPoly:
-            return self._bareiss()[1]
+            det = self.difference_determinant()
+            return self._bareiss()[1] if det is None else det
         rows = self._r
         memo: dict[int, Entry] = {}
 

@@ -14,9 +14,9 @@ import time
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
-from operator import floordiv, mul, sub
+from operator import mul, sub
 
-from .combinatorics import Rat, binomial_column, common_denominator
+from .combinatorics import Rat, binomial_column, binomial_rows, common_denominator
 from .matrix import ExactMatrix, first_difference
 from .report import FrozenRecord, VerificationReport, finish_report
 
@@ -144,18 +144,14 @@ def build(spec: MatrixSpec) -> ExactMatrix:
 def _binomial_nodes_matrix(nums: list[int], common: int) -> ExactMatrix:
     """The square matrix C(x_j, i-1) over the nodes x_j = nums[j] / common,
     built a row at a time from the row above.  Integral nodes (common 1)
-    give ints, C(x, i) = C(x, i-1) (x-i+1) // i, an exact division for
-    either sign of x.  Otherwise row i (0-indexed) holds the running
-    products prod_{t<i} (nums[j] - t common) over common^i i!, which
-    ``ExactMatrix._over`` reduces."""
+    give the int rows of ``binomial_rows``.  Otherwise row i (0-indexed)
+    holds the running products prod_{t<i} (nums[j] - t common) over
+    common^i i!, which ``ExactMatrix._over`` reduces."""
     size = len(nums)
+    if common == 1:
+        return ExactMatrix._of(tuple(binomial_rows(nums, size)), size, int)
     row = (1,) * size
     rows = [row]
-    if common == 1:
-        for i in range(1, size):
-            row = tuple(map(floordiv, map(mul, row, map(sub, nums, repeat(i - 1))), repeat(i)))
-            rows.append(row)
-        return ExactMatrix._of(tuple(rows), size, int)
     dens = [1]
     for i in range(1, size):
         row = list(map(mul, row, map(sub, nums, repeat((i - 1) * common))))

@@ -1,12 +1,12 @@
 """Independent oracles the tests check library results against.
 
-Everything here deliberately avoids the library's own algorithms: the
-determinant is a plain permutation sum, the rank a row echelon form by
-Fraction division, the matrix product a plain triple sum over every entry,
-zero or not (a conjugation S M S^T is two of them), the binomial sums add
-Fraction terms with math.comb, x^n sin x and x^n cos x are written as
-literal terms, and derivatives are cross-checked by floating central
-differences.
+Everything here deliberately avoids the library's own algorithms: a matrix
+is built by one call of an entry function per entry, the determinant is a
+plain permutation sum, the rank a row echelon form by Fraction division,
+the matrix product a plain triple sum over every entry, zero or not (a
+conjugation S M S^T is two of them), the binomial sums add Fraction terms
+with math.comb, x^n sin x and x^n cos x are written as literal terms, and
+derivatives are cross-checked by floating central differences.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ from fractions import Fraction
 from random import Random
 
 from wronskit import ExactMatrix, Trig, TrigPoly
+
+
+def from_fn(rows: int, cols: int, fn) -> ExactMatrix:
+    """The matrix of a 1-indexed entry function fn(i, j), one call per entry."""
+    return ExactMatrix([[fn(i, j) for j in range(1, cols + 1)] for i in range(1, rows + 1)])
 
 
 def determinant_by_permutations(m: ExactMatrix):

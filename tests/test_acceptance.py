@@ -42,7 +42,7 @@ from wronskit import (
     verify_wronskian_transform,
     wronskian_hankel,
 )
-from wronskit.cli import SuiteConfig, run_checks
+from wronskit.cli import AFFINE_OFFSETS, AFFINE_SLOPES, SuiteConfig, run_checks
 from oracles import (
     basis_element,
     central_difference,
@@ -198,6 +198,42 @@ def test_full_rank_at_n_60():
     with criterion("coordinate-full-rank-60", 5.0):
         rep = verify_full_rank(60)
         assert rep.passed and rep.computed == "rank 122", rep.line()
+
+
+def _full_rank_at_n_100():
+    rep = verify_full_rank(100)
+    assert rep.passed and rep.computed == "rank 202", rep.line()
+
+
+def _binomial_determinants_at_n_100():
+    """The 24-point binom-affine grid of the determinants suite, binom-odd
+    and binom-even, all at n = 100."""
+    specs = [MatrixSpec(MatrixKind.BINOM_AFFINE, n=100, a=a, b=b)
+             for a in AFFINE_SLOPES for b in AFFINE_OFFSETS]
+    specs += [MatrixSpec(MatrixKind.BINOM_ODD, n=100), MatrixSpec(MatrixKind.BINOM_EVEN, n=100)]
+    assert len(specs) == 26
+    for spec in specs:
+        rep = det_identity(spec)
+        assert rep.passed, rep.line()
+
+
+def test_full_rank_at_n_100():
+    with criterion("coordinate-full-rank-100", 2.0):
+        _full_rank_at_n_100()
+
+
+def test_binomial_determinants_at_n_100():
+    with criterion("binomial-determinants-100", 5.0):
+        _binomial_determinants_at_n_100()
+
+
+def test_binomial_determinants_at_n_100_take_no_elimination(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"Bareiss elimination on a {self.rows}x{self.cols} matrix")
+
+    monkeypatch.setattr(ExactMatrix, "_bareiss", refuse)
+    _full_rank_at_n_100()
+    _binomial_determinants_at_n_100()
 
 
 def test_coords_suite_to_n_40():

@@ -12,12 +12,14 @@ from wronskit import (
     MatrixSpec,
     Trig,
     TrigPoly,
+    binomial,
     binomial_pattern_matrix,
     build,
     coordinate_basis,
     coordinate_matrix,
     coordinates_in_basis,
     differentiate,
+    falling_factorial,
     harmonic_step,
     is_constant,
     ladder_rung,
@@ -33,7 +35,13 @@ from wronskit import (
     wronskian_hankel,
 )
 from wronskit import independence, trigring
-from oracles import basis_element, conjugate_by_definition, determinant_by_permutations, rank_by_elimination
+from oracles import (
+    basis_element,
+    conjugate_by_definition,
+    determinant_by_permutations,
+    from_fn,
+    rank_by_elimination,
+)
 
 S = basis_element(0, Trig.SIN)
 C = basis_element(0, Trig.COS)
@@ -361,6 +369,26 @@ def test_coordinate_matrix_small_instance():
         [0, -1, 0, 1],
         [1, 0, -3, 0],
         [0, 2, 0, -4]])
+
+
+def test_coordinate_matrices_match_their_entry_definitions():
+    def coordinate(n):
+        def entry(i, j):
+            if (i + j) % 2:
+                return 0
+            depth = (2 * i - 1) // 4
+            sign = -1 if ((2 * j + 1) // 4 + (2 * i + 1) // 8) % 2 else 1
+            return sign * binomial(j, depth) * falling_factorial(n, depth)
+        return entry
+
+    for n in range(1, 25):
+        size = 2 * n + 2
+        for got, want in (
+                (coordinate_matrix(n), from_fn(size, size, coordinate(n))),
+                (binomial_pattern_matrix(n), from_fn(
+                    size, size, lambda i, j: binomial(j, (2 * i - 1) // 4) if (i + j) % 2 == 0 else 0))):
+            assert got == want, n
+            assert all(type(got[i, j]) is int for i in range(size) for j in range(size))
 
 
 def test_coordinate_matrix_first_columns_closed_form():

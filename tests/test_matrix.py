@@ -3,7 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wronskit import (
     ChainSpec,
@@ -12,10 +12,13 @@ from wronskit import (
     MatrixSpec,
     Trig,
     TrigPoly,
+    binomial_pattern_matrix,
     build,
+    coordinate_matrix,
     first_difference,
     ladder_wronskian,
     pascal_product,
+    scaled_coordinate_matrix,
 )
 from wronskit import matrix
 from wronskit.independence import _conjugated_entry, _double_shift_stack
@@ -23,6 +26,7 @@ from oracles import (
     basis_element,
     conjugate_by_definition,
     determinant_by_permutations,
+    from_fn,
     product_by_definition,
     rank_by_elimination,
     random_checkerboard,
@@ -77,7 +81,7 @@ def test_rows_are_tuples_read_once_and_never_aliased():
 
 
 def test_from_fn_is_one_indexed():
-    m = ExactMatrix.from_fn(2, 2, lambda i, j: 10 * i + j)
+    m = from_fn(2, 2, lambda i, j: 10 * i + j)
     assert m == ExactMatrix([[11, 12], [21, 22]])
 
 
@@ -747,3 +751,102 @@ def test_float_and_bool_entries_raise_among_rationals(rows, bad, rng):
     for op in (m.determinant, m.rank, lambda: square @ m, lambda: m.transpose() @ square):
         with pytest.raises(TypeError, match=f"must be int, Fraction or TrigPoly, not {type(bad).__name__}"):
             op()
+
+
+# Nonzero slopes and any offsets, int or rational, negative included.
+RATIONALS = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+SLOPES = RATIONALS.filter(bool)
+
+
+def _nodes_matrix(nodes) -> ExactMatrix:
+    return build(MatrixSpec(MatrixKind.BINOM_NODES, nodes=tuple(map(Fraction, nodes))))
+
+
+def _same_as_oracles(det, m: ExactMatrix) -> None:
+    want = m._bareiss()[1]
+    assert det == want and str(det) == str(want), m.pretty()
+    if m.rows <= 6:
+        assert det == determinant_by_permutations(m), m.pretty()
+
+
+@given(SLOPES, RATIONALS, st.integers(1, 9))
+@settings(deadline=None, max_examples=150)
+def test_differences_reduce_every_affine_binomial_matrix(a, b, size):
+    m = _nodes_matrix([a * j + b for j in range(1, size + 1)])
+    det = m.difference_determinant()
+    assert det is not None, m.pretty()
+    assert det == Fraction(a) ** math.comb(size, 2)
+    _same_as_oracles(det, m)
+    assert m.determinant() == det
+
+
+@given(st.lists(RATIONALS, min_size=3, max_size=8))
+@settings(deadline=None, max_examples=150)
+def test_differences_refuse_nodes_off_an_arithmetic_progression(nodes):
+    # row 1 is x_j itself: its second differences vanish only on a progression
+    assume(any(x - 2 * y + z for x, y, z in zip(nodes, nodes[1:], nodes[2:])))
+    m = _nodes_matrix(nodes)
+    assert m.difference_determinant() is None
+    assert m.determinant() == m._bareiss()[1]
+
+
+@given(_exact_matrices(square=True), st.integers(1, 3))
+@settings(deadline=None, max_examples=150)
+def test_differences_on_random_matrices_are_none_or_the_determinant(m, step):
+    det = m.difference_determinant(step)
+    if det is not None:
+        _same_as_oracles(det, m)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n), SLOPES, RATIONALS)))
+@settings(deadline=None, max_examples=100)
+def test_differences_reduce_row_combinations_of_an_affine_matrix(case):
+    # a lower triangular factor on the left keeps every row's differences zero
+    # right of the diagonal, so L times an affine matrix reduces as well
+    rows, a, b = case
+    size = len(rows)
+    lower = ExactMatrix([[v if j <= i else 0 for j, v in enumerate(row)] for i, row in enumerate(rows)])
+    m = lower @ _nodes_matrix([a * j + b for j in range(1, size + 1)])
+    det = m.difference_determinant()
+    assert det is not None, m.pretty()
+    _same_as_oracles(det, m)
+
+
+@given(SLOPES, RATIONALS, st.integers(2, 9), st.data())
+@settings(deadline=None, max_examples=150)
+def test_one_changed_entry_is_never_reported_triangular(a, b, size, data):
+    m = _nodes_matrix([a * j + b for j in range(1, size + 1)])
+    i = data.draw(st.integers(0, size - 2))
+    j = data.draw(st.integers(0, size - 1))
+    delta = data.draw(SLOPES)
+    rows = [list(m.row(r)) for r in range(size)]
+    rows[i][j] += delta
+    assert ExactMatrix(rows).difference_determinant() is None
+    rows[i][j] -= delta
+    rows[-1][j] += delta  # the last row has nothing right of its diagonal to break
+    changed = ExactMatrix(rows)
+    _same_as_oracles(changed.difference_determinant(), changed)
+
+
+@given(st.integers(1, 20), st.data())
+@settings(deadline=None, max_examples=40)
+def test_double_shift_differences_reduce_the_coordinate_checkerboard(n, data):
+    size = 2 * n + 2
+    pattern = binomial_pattern_matrix(n)
+    for m in (pattern, scaled_coordinate_matrix(coordinate_matrix(n), n)):
+        assert m.difference_determinant(2) == 2 ** (n * (n + 1))
+    # an off-parity entry in any row but the last breaks the checkerboard
+    i = data.draw(st.integers(0, size - 2))
+    j = data.draw(st.sampled_from(range(1 - i % 2, size, 2)))
+    rows = [list(pattern.row(r)) for r in range(size)]
+    rows[i][j] = data.draw(SLOPES)
+    assert ExactMatrix(rows).difference_determinant(2) is None
+
+
+def test_differences_take_no_trig_or_non_square_matrix():
+    assert ExactMatrix([[S, C], [C, S]]).difference_determinant() is None
+    assert ExactMatrix([[1, 1, 1], [1, 2, 3]]).difference_determinant() is None
+    assert ExactMatrix([[Fraction(3, 2)]]).difference_determinant() == Fraction(3, 2)
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        ExactMatrix([[1]]).difference_determinant(0)

@@ -19,7 +19,7 @@ from wronskit import (
     verify_row_shift,
     verify_triangularization,
 )
-from oracles import random_int_matrix
+from oracles import from_fn, random_int_matrix
 
 
 def test_row_shift_entries_and_action():
@@ -84,7 +84,6 @@ def _same_entries(got, want):
 
 
 def test_closure_free_builders_match_their_entry_definitions():
-    from_fn = ExactMatrix.from_fn
     for n in range(1, 13):
         _same_entries(ExactMatrix.identity(n), from_fn(n, n, lambda i, j: 1 if i == j else 0))
         _same_entries(build(MatrixSpec(MatrixKind.BIDIAGONAL, n=n)),
