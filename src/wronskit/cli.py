@@ -47,6 +47,9 @@ SUITES = ("identities", "determinants", "pascal", "wronskian", "coords", "open-i
 AFFINE_SLOPES = (-2, -1, 1, 2, 3, Fraction(1, 2))
 AFFINE_OFFSETS = (-1, 0, 1, 2)
 
+# grid sizes minus one swept by the wronskian suite's even-grid transform check
+EVEN_GRID_STEPS = (1, 2, 3)
+
 # representative node tuples for the determinants suite; the last one has a
 # repeated node, so its determinant must vanish
 NODE_TUPLES = (
@@ -189,7 +192,7 @@ def plan_checks(config: SuiteConfig) -> list[Check]:
                  for n in range(max_n + 1) for shift in shifts for kind in kinds]
         plan += [("wronskian", verify_dependence, (n, kind)) for n in range(max_n + 1) for kind in kinds]
         plan += [("wronskian", verify_even_hankel_transform, (steps, shift, n, kind))
-                 for steps in (1, 2, 3) for shift in shifts for n in ns for kind in kinds]
+                 for steps in EVEN_GRID_STEPS for shift in shifts for n in ns for kind in kinds]
         plan += [("wronskian", verify_wronskian_transform, (n, kind)) for n in ns for kind in kinds]
     if "coords" in config.suites:
         plan += [("coords", verify_full_rank, (n,)) for n in ns]

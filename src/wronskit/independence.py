@@ -2,13 +2,14 @@
 x^n sin x and x^n cos x.
 
 The symbolic route takes Wronskian determinants exactly over the trig quotient
-ring after the paper's transformation: conjugation by the stacked double-shift
-product S keeps the determinant and sorts the entries onto the (D^2+1)-ladder,
-whose rungs from (D^2+1)^(n+1) f on vanish; its entries are closed-form rungs
-(trigring.ladder_rung).  The transform checks read S H S^T one entry at a
-time from the Hankel values of H (_conjugated_entry): only k = 0 rungs, the
-plain derivatives of f, reaching the ladder through S alone, so they test the
-closed form's D^k (D+2i)^k factor; the k = 0 part is pinned by
+ring after the paper's transformation: conjugation by a row-shift stack S
+(_shift_stack) keeps the determinant and sorts the entries onto the
+(D^2+1)-ladder, whose rungs from (D^2+1)^(n+1) f on vanish; its entries are
+closed-form rungs (trigring.ladder_rung).  Both transform checks are one
+per-class check (_transform_difference), reading S H S^T one entry per class
+from the Hankel values of H: only k = 0 rungs, the plain derivatives of f,
+reaching the ladder through S alone, so they test the closed form's
+D^k (D+2i)^k factor; the k = 0 part is pinned by
 verify_basis_columns (the paper's coordinate closed form) and by the ring tests.
 The coordinate route expresses the derivatives in an integer basis and
 settles independence by exact rank.
@@ -25,7 +26,6 @@ from functools import lru_cache
 from .combinatorics import binomial_column, binomial_rows, falling_factorial
 from .matrix import Entry, ExactMatrix, first_difference
 from .report import FrozenRecord, VerificationReport, finish_report
-from .structured import pascal_product
 from .trigring import (
     Coeff,
     Trig,
@@ -45,6 +45,8 @@ class ChainSpec(FrozenRecord):
     def __init__(self, n: int, shift: int = 0, kind: Trig = Trig.SIN, count: int = 1):
         if n < 0 or shift < 0 or count < 1:
             raise ValueError("chain needs n >= 0, shift >= 0, count >= 1")
+        if not isinstance(kind, Trig):
+            raise TypeError(f"chain kind must be a Trig, not {kind!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "kind", kind)
@@ -64,20 +66,19 @@ def wronskian_hankel(spec: ChainSpec) -> ExactMatrix:
 
 
 @lru_cache(maxsize=None)
-def _double_shift_stack(size: int) -> tuple[ExactMatrix, str]:
-    """The stacked double-shift product S (cutoffs 1 .. (size+1)//2 - 1, the last
-    leftmost) and its first difference from C(i//2, j//2) where i = j mod 2,
-    0-indexed: 'ok' iff row i of S holds the coefficients of D^(i mod 2) (D^2+1)^(i//2).
-    S is row operations (``shift_rows``): no double-shift matrix is multiplied."""
-    stack = ExactMatrix.identity(size)
-    for k in range(1, (size + 1) // 2):
-        stack = stack.shift_rows(2, 2 * k)
+def _shift_stack(size: int, step: int) -> tuple[ExactMatrix, str]:
+    """ExactMatrix.shift_stack(size, step) and its named first difference from
+    C(i//step, j//step) where i = j mod step, else 0 (0-indexed): 'ok' iff row i
+    holds z^(i mod step) (z^step + 1)^(i//step) in z = D^(2//step)."""
     rungs = []
     for i in range(size):
         row = [0] * size
-        row[i % 2::2] = binomial_column(i // 2, (size - i % 2 + 1) // 2)
+        row[i % step::step] = binomial_column(i // step, (size - i % step + step - 1) // step)
         rungs.append(tuple(row))
-    return stack, first_difference(stack, ExactMatrix._of(tuple(rungs), size, int))
+    stack = ExactMatrix.shift_stack(size, step)
+    difference = first_difference(stack, ExactMatrix._of(tuple(rungs), size, int))
+    name = "row-shift stack off Pascal" if step == 1 else "double-shift stack off the ladder"
+    return stack, difference if difference == "ok" else f"{name}: {difference}"
 
 
 def _conjugated_entry(row_i: Sequence[int], row_j: Sequence[int], h: Sequence[Entry]) -> TrigPoly:
@@ -99,7 +100,7 @@ def ladder_wronskian(spec: ChainSpec) -> ExactMatrix:
     """S W S^T from the (D^2+1)-ladder of g = D^shift f: entry (i, j), 0-indexed,
     is D^(i mod 2 + j mod 2) (D^2+1)^(i//2 + j//2) g, a cached ladder_rung.
     That is P_i(D) P_j(D) g for the row polynomials P_i(D) = D^(i mod 2)
-    (D^2+1)^(i//2) of S (_double_shift_stack)."""
+    (D^2+1)^(i//2) of S (_shift_stack(count, 2))."""
     n, kind, shift = spec.n, spec.kind, spec.shift
     return ExactMatrix([[ladder_rung(n, kind, shift + i % 2 + j % 2, i // 2 + j // 2)
                          for j in range(spec.count)] for i in range(spec.count)])
@@ -107,10 +108,8 @@ def ladder_wronskian(spec: ChainSpec) -> ExactMatrix:
 
 def _ladder_determinant(spec: ChainSpec) -> Entry:
     """det W from ladder_wronskian, or where S's rows miss the ladder (a failing value)."""
-    stack = _double_shift_stack(spec.count)[1]
-    if stack != "ok":
-        return f"double-shift stack off the ladder: {stack}"
-    return ladder_wronskian(spec).determinant()
+    difference = _shift_stack(spec.count, 2)[1]
+    return ladder_wronskian(spec).determinant() if difference == "ok" else difference
 
 
 def two_by_two(n: int, shift: int = 0, kind: Trig = Trig.SIN) -> TrigPoly:
@@ -148,79 +147,68 @@ def verify_dependence(n: int, kind: Trig = Trig.SIN) -> VerificationReport:
                          _ladder_determinant(ChainSpec(n, 0, kind, 2 * n + 3)), started)
 
 
+def _transform_difference(n: int, kind: Trig, shift: int, size: int, step: int) -> str:
+    """'ok' if the stack S of _shift_stack(size, step) sorts the size x size
+    Hankel matrix H[a, b] = h[a + b], h_t = D^(shift + t (2//step)) f of
+    f = x^n trig, onto the (D^2+1)-ladder; else S's difference, or the first
+    entry of S H S^T that differs, as first_difference reports it.
+
+    Row i of S is P_i(z), z = D^(2//step), so entry (i, j) of S H S^T,
+    (P_i P_j)(z) D^shift f, depends only on the class (e, k) = (i mod step +
+    j mod step, i//step + j//step) and must be the rung D^(shift+e) (D^2+1)^k f:
+    only the first entry of each class is taken (_conjugated_entry)."""
+    stack, difference = _shift_stack(size, step)
+    if difference != "ok":
+        return difference
+    h = [ladder_rung(n, kind, shift + t * (2 // step), 0) for t in range(2 * size - 1)]
+    firsts = {}  # class -> its first entry in row-major order
+    for i in range(size):
+        for j in range(size):
+            firsts.setdefault((i % step + j % step, i // step + j // step), (i, j))
+    for (e, k), (i, j) in firsts.items():
+        got = _conjugated_entry(stack.row(i), stack.row(j), h)
+        want = ladder_rung(n, kind, shift + e, k)
+        if got != want:
+            return f"entry ({i + 1},{j + 1}) is {got}, want {want}"
+    return "ok"
+
+
 def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Trig.SIN) -> VerificationReport:
     """Conjugating the even-derivative Hankel grid by the stacked row-shift
-    product (_conjugated_entry) must regrade it into the (D^2+1)-ladder grid,
+    product (Pascal's triangle) must regrade it into the (D^2+1)-ladder grid,
     entry for entry, preserving the determinant.
 
     Grid: (steps+1) x (steps+1) with entry (i, j) = D^(shift + 2(i+j-2)) f.
     After conjugation entry (i, j) must be D^shift (D^2+1)^(i+j-2) f.  This is
-    pure operator algebra, so it holds for any f; here f = x^n trig.  The grid
-    is symmetric, so is its conjugate: entries with i <= j are computed and
-    mirrored.
+    pure operator algebra, so it holds for any f; here f = x^n trig.  Once
+    _transform_difference (step 1) finds every entry so, the conjugate is
+    that ladder grid, whose determinant must be the grid's.
     """
     started = time.perf_counter()
     if steps < 1 or shift < 0 or n < 0:
         raise ValueError("transform needs steps >= 1, shift >= 0, n >= 0")
     size = steps + 1
-    h = [ladder_rung(n, kind, shift + 2 * t, 0) for t in range(2 * size - 1)]
-    grid = ExactMatrix([[h[i + j] for j in range(size)] for i in range(size)])
-    stack = pascal_product(size)
-    entries = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            entries[i][j] = entries[j][i] = _conjugated_entry(stack.row(i), stack.row(j), h)
-    conj = ExactMatrix(entries)
-    target = ExactMatrix([[ladder_rung(n, kind, shift, i + j) for j in range(size)]
-                          for i in range(size)])
+    difference = _transform_difference(n, kind, shift, size, 1)
+    if difference == "ok":
+        span = range(size)
+        grid = ExactMatrix([[ladder_rung(n, kind, shift + 2 * (i + j), 0) for j in span] for i in span])
+        target = ExactMatrix([[ladder_rung(n, kind, shift, i + j) for j in span] for i in span])
+        if grid.determinant() != target.determinant():
+            difference = "determinant changed under conjugation"
     params = {"steps": steps, "shift": shift, "n": n, "kind": kind.value}
-    if conj != target:
-        return finish_report("even-hankel-transform", params, "ok",
-                             first_difference(conj, target), started)
-    if grid.determinant() != conj.determinant():
-        return finish_report("even-hankel-transform", params, "ok",
-                             "determinant changed under conjugation", started)
-    return finish_report("even-hankel-transform", params, "ok", "ok", started)
+    return finish_report("even-hankel-transform", params, "ok", difference, started)
 
 
 def verify_wronskian_transform(n: int, kind: Trig = Trig.SIN) -> VerificationReport:
     """Conjugating the full 2n x 2n Wronskian matrix W of f = x^n trig by the
     stacked double-shift product S must sort every entry onto the
-    (D^2+1)-ladder of ladder_wronskian.
-
-    The check first requires _double_shift_stack's comparison to read 'ok':
-    row i of S holds the coefficients of P_i(D) = D^(i mod 2) (D^2+1)^(i//2).
-    Then entry (i, j) of S W S^T is (P_i P_j)(D) f, which depends only on the
-    class (e, k) = (i mod 2 + j mod 2, i//2 + j//2), and must be the rung
-    D^e (D^2+1)^k f.  So one entry per class, the first in row-major order,
-    is taken from W's Hankel values (_conjugated_entry) and compared with
-    ladder_rung(n, kind, e, k): 6n - 3 entries instead of 4n^2.  The first
-    entry that differs is also the first of the whole matrix, and is reported
-    as first_difference reports it.
-    """
+    (D^2+1)-ladder of ladder_wronskian: _transform_difference with step 2,
+    6n - 3 entries instead of 4n^2."""
     started = time.perf_counter()
     if n < 1:
         raise ValueError("transform needs n >= 1")
-    params = {"n": n, "kind": kind.value}
-    size = 2 * n
-    stack, difference = _double_shift_stack(size)
-    if difference != "ok":
-        return finish_report("wronskian-transform", params, "ok",
-                             f"double-shift stack off the ladder: {difference}", started)
-    h = [ladder_rung(n, kind, t, 0) for t in range(2 * size - 1)]
-    seen = set()
-    for i in range(size):
-        for j in range(size):
-            e, k = i % 2 + j % 2, i // 2 + j // 2
-            if (e, k) in seen:
-                continue
-            seen.add((e, k))
-            got = _conjugated_entry(stack.row(i), stack.row(j), h)
-            want = ladder_rung(n, kind, e, k)
-            if got != want:
-                return finish_report("wronskian-transform", params, "ok",
-                                     f"entry ({i + 1},{j + 1}) is {got}, want {want}", started)
-    return finish_report("wronskian-transform", params, "ok", "ok", started)
+    return finish_report("wronskian-transform", {"n": n, "kind": kind.value}, "ok",
+                         _transform_difference(n, kind, 0, 2 * n, 2), started)
 
 
 def coordinate_basis(n: int) -> tuple[tuple[int, Trig], ...]:
@@ -348,15 +336,11 @@ def verify_full_rank(n: int) -> VerificationReport:
     Only a singular scaled matrix is eliminated for its rank; the raw M, whose
     entries carry the falling factorials, never is.
 
-    The whole determinant is taken by step-2 column differences
-    (``ExactMatrix.difference_determinant(2)``, the double shift), which
-    make the parity-gated binomial pattern triangular with diagonal
-    2^floor((2i-1)/4); a matrix they do not reduce falls back to
-    ``determinant``.  It is also factored through the interleave split: it
-    must equal det(odd block) * det(even block) = 2^C(n+1,2) * 2^C(n+1,2)
-    = 2^(n(n+1)).  The blocks are the binom-odd and binom-even patterns,
-    which ``determinant`` reduces by step-1 differences, so the split is a
-    second code path that cross-checks the whole.  The note records the
+    The whole and both blocks of its interleave split take ``determinant``:
+    step-2 column differences reduce the whole, with diagonal
+    2^floor((2i-1)/4), and step 1 the binom-odd and binom-even blocks, so
+    det(odd block) * det(even block) = 2^C(n+1,2) * 2^C(n+1,2) = 2^(n(n+1))
+    cross-checks the whole by a second code path.  The note records the
     exponent next to the inconsistent quoted closed form 2^(n(n-1)).  At
     n = 100 the check takes about 0.25 s on a 2-core x86 machine, most of it
     the three difference determinants (15.6 s by elimination).
@@ -366,9 +350,7 @@ def verify_full_rank(n: int) -> VerificationReport:
     pattern_ok = scaled == binomial_pattern_matrix(n)
     odd, even = scaled.interleave_split()
     det_product = odd.determinant() * even.determinant()
-    det_whole = scaled.difference_determinant(2)
-    if det_whole is None:
-        det_whole = scaled.determinant()
+    det_whole = scaled.determinant()
     rank = 2 * n + 2 if det_whole else scaled.rank()
     closed = 2 ** (n * (n + 1))
     quoted = 2 ** (n * (n - 1))

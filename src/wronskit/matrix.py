@@ -1,19 +1,19 @@
 """Immutable matrices over the exact rings used here (int, Fraction,
 TrigPoly), each a tuple of row tuples read a row at a time.  Each caches its
 ring, the widest entry type: the constructors that know it set it, and any
-other matrix learns it from one scan of its entries when a product,
-determinant or rank first needs it, refusing an entry of any other type.
+other matrix learns it from one scan of its entries at its first entry
+read, product, determinant or rank, refusing an entry of any other type.
 Operations: a product over Z and Q that sums the right factor's rows, one
 per nonzero left entry; ``shift_rows``, an int matrix's product by a unit
-lower shift matrix as row additions, with no shift matrix built or
-multiplied; ``difference_determinant``, the paper's row-shift stack run
+lower shift matrix as row additions, and ``shift_stack``, the paper's stack
+of such shifts on the identity; ``difference_determinant``, that stack run
 backwards as signed column differences, which makes every affine binomial
 matrix (step 1) and the coordinate checkerboard (step 2) triangular and
 checks that it did; one fraction-free (Bareiss) elimination for the rank
-over Z and Q and for every determinant there that the differences do not
-reduce; a division-free determinant memoized over column subsets for
-TrigPoly entries, each minor one TrigPoly.sum_of_products; and the
-interleave split of a checkerboard matrix.
+over Z and Q and for every determinant that neither step reduces; a
+division-free determinant memoized over column subsets for TrigPoly
+entries, each minor one TrigPoly.sum_of_products; and the interleave split
+of a checkerboard matrix.
 
 A matrix over Q holds no Fraction.  It is stored as integer numerator rows,
 each over one positive row denominator and in lowest terms, so equal
@@ -112,6 +112,18 @@ class ExactMatrix:
             rows.append(tuple(row))
         return cls._of(tuple(rows), n, int)
 
+    @classmethod
+    def shift_stack(cls, n: int, step: int) -> "ExactMatrix":
+        """The product of unit_lower(n, step, start) over start = step, 2 step,
+        ... below n, the last leftmost, as ``shift_rows`` on the identity.  Row
+        i holds the coefficients of z^(i mod step) (1 + z^step)^(i//step)."""
+        if step < 1:
+            raise ValueError(f"shift step must be >= 1, got {step}")
+        stack = cls.identity(n)
+        for start in range(step, n, step):
+            stack = stack.shift_rows(step, start)
+        return stack
+
     def shift_rows(self, offset: int, start: int) -> "ExactMatrix":
         """``unit_lower(self.rows, offset, start) @ self`` for an int matrix
         (TypeError otherwise), as row additions in one C-level map: rows
@@ -136,10 +148,14 @@ class ExactMatrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self._cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self._cols}")
+        if self._ring is None:
+            self._entry_ring()
         v = self._r[i][j]
         return v if self._den is None else _ratio(v, self._den[i])
 
     def row(self, i: int) -> tuple[Entry, ...]:
+        if self._ring is None:
+            self._entry_ring()
         den = self._den
         if den is None or den[i] == 1:
             return self._r[i]
@@ -293,24 +309,25 @@ class ExactMatrix:
     def determinant(self) -> Entry:
         """Exact determinant of a square matrix.
 
-        Integer and rational matrices first try ``difference_determinant``
-        with step 1.  It reduces every affine binomial matrix to a
-        triangular one in O(n^3) subtractions: at order 100 in 20 to 35 ms,
-        against 1.4 to 3.6 s of elimination.  A matrix that does not reduce
-        costs one or two rows of subtractions before None: a random matrix
-        fails at its first row, C(x_j, i) over nodes off an arithmetic
-        progression at its second.  Such a matrix goes through the Bareiss
-        elimination that ``rank`` uses: O(n^3) multiplications and exact
-        divisions on the integer rows.  A matrix with
-        a TrigPoly entry takes the division-free expansion along the last row
-        of each leading-rows submatrix, memoized over column subsets: O(n 2^n)
-        ring operations instead of n!, each minor of two or more rows one
+        Integer and rational matrices try ``difference_determinant`` with
+        step 1, which reduces every affine binomial matrix in O(n^3)
+        subtractions (order 100 in 20 to 35 ms, against 1.4 to 3.6 s of
+        elimination), then step 2, which reduces the coordinate checkerboard,
+        then the Bareiss elimination that ``rank`` uses: O(n^3)
+        multiplications and exact divisions on the integer rows.  A step
+        that does not reduce costs a row or two of subtractions: a random
+        matrix fails both at its first row.  A matrix with a TrigPoly entry
+        takes the division-free expansion along the last row of each
+        leading-rows submatrix, memoized over column subsets: O(n 2^n) ring
+        operations instead of n!, each minor of two or more rows one
         TrigPoly.sum_of_products over its signed (entry, sub-minor) pairs.
         """
         if len(self._r) != self._cols:
             raise ValueError("determinant needs a square matrix")
         if self._entry_ring() is not TrigPoly:
-            det = self.difference_determinant()
+            det = self.difference_determinant(1)
+            if det is None:
+                det = self.difference_determinant(2)
             return self._bareiss()[1] if det is None else det
         rows = self._r
         memo: dict[int, Entry] = {}
@@ -465,8 +482,5 @@ def first_difference(got: ExactMatrix, want: ExactMatrix) -> str:
         return f"shape {got.rows}x{got.cols} != {want.rows}x{want.cols}"
     if got == want:
         return "ok"
-    for i in range(got.rows):
-        for j in range(got.cols):
-            if got[i, j] != want[i, j]:
-                return f"entry ({i + 1},{j + 1}) is {got[i, j]}, want {want[i, j]}"
-    return "ok"
+    i, j = next((i, j) for i in range(got.rows) for j in range(got.cols) if got[i, j] != want[i, j])
+    return f"entry ({i + 1},{j + 1}) is {got[i, j]}, want {want[i, j]}"

@@ -223,14 +223,11 @@ def det_identity(spec: MatrixSpec) -> VerificationReport:
 
 def pascal_product(n: int) -> ExactMatrix:
     """The product of all n x n row-shift matrices, cutoff n-1 leftmost down
-    to cutoff 1, as row operations on the identity (``shift_rows``), with no
-    shift matrix built or multiplied.  Needs n >= 2."""
+    to cutoff 1: ``ExactMatrix.shift_stack(n, 1)``, uncached, so a sweep over
+    n keeps no stack alive.  Needs n >= 2."""
     if n < 2:
         raise ValueError("pascal product needs n >= 2")
-    acc = ExactMatrix.identity(n)
-    for k in range(1, n):
-        acc = acc.shift_rows(1, k)
-    return acc
+    return ExactMatrix.shift_stack(n, 1)
 
 
 def verify_pascal_product(n: int) -> VerificationReport:

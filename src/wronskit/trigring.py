@@ -311,6 +311,8 @@ def ladder_rung(power: int, kind: Trig, order: int, k: int) -> TrigPoly:
     through sin, cos, -sin, -cos (cos is sin turned once).  k > power gives
     zero; order enters only through math.comb, so only power sets the cost.
     """
+    if not isinstance(kind, Trig):
+        raise TypeError(f"ladder rung kind must be a Trig, not {kind!r}")
     if power < 0 or order < 0 or k < 0:
         raise ValueError("ladder rung needs power >= 0, order >= 0 and k >= 0")
     if k > power:

@@ -312,7 +312,7 @@ def test_wronskian_factorization():
         for spec in specs:
             grid = wronskian_hankel(spec)
             want = grid.determinant()
-            conjugated = conjugate_by_definition(independence._double_shift_stack(spec.count)[0], grid)
+            conjugated = conjugate_by_definition(independence._shift_stack(spec.count, 2)[0], grid)
             for form in (conjugated, ladder_wronskian(spec)):
                 assert form.determinant() == want, spec
                 if spec.count <= 6:

@@ -20,10 +20,12 @@ from wronskit import (
     coordinates_in_basis,
     differentiate,
     falling_factorial,
+    first_difference,
     harmonic_step,
     is_constant,
     ladder_rung,
     ladder_wronskian,
+    pascal_product,
     scaled_coordinate_matrix,
     two_by_two,
     verify_basis_columns,
@@ -35,6 +37,7 @@ from wronskit import (
     wronskian_hankel,
 )
 from wronskit import independence, trigring
+from wronskit.cli import EVEN_GRID_STEPS
 from oracles import (
     basis_element,
     conjugate_by_definition,
@@ -54,6 +57,10 @@ def test_chain_spec_validation():
         ChainSpec(n=0, shift=-1)
     with pytest.raises(ValueError):
         ChainSpec(n=0, count=0)
+    # a string is not a kind: "cos" would read as the sine family
+    for kind in ("cos", "sin", None):
+        with pytest.raises(TypeError, match="must be a Trig"):
+            ChainSpec(1, 0, kind, 4)
 
 
 def test_derivative_chain_example():
@@ -100,7 +107,7 @@ def test_wronskian_values_match_permutation_oracle():
 def _conjugated_by_definition(spec: ChainSpec) -> ExactMatrix:
     """S W S^T for the chain's Wronskian matrix W and the double-shift stack S,
     by two products by definition."""
-    return conjugate_by_definition(independence._double_shift_stack(spec.count)[0], wronskian_hankel(spec))
+    return conjugate_by_definition(independence._shift_stack(spec.count, 2)[0], wronskian_hankel(spec))
 
 
 def test_ladder_matches_the_ring_product():
@@ -115,20 +122,22 @@ def test_ladder_matches_the_ring_product():
 
 
 def test_double_shift_stack_is_the_interleaved_binomial_matrix():
-    for size in range(3, 61):
-        stack, difference = independence._double_shift_stack(size)
-        want = ExactMatrix([[math.comb(i // 2, j // 2) if (i - j) % 2 == 0 else 0 for j in range(size)]
-                            for i in range(size)])
-        assert stack == want, size
-        assert difference == "ok", size
+    # step 2 interleaves C(i//2, j//2) over the parities; step 1 is Pascal's C(i, j)
+    for step in (1, 2):
+        for size in range(1, 61):
+            stack, difference = independence._shift_stack(size, step)
+            want = ExactMatrix([[math.comb(i // step, j // step) if (i - j) % step == 0 else 0
+                                 for j in range(size)] for i in range(size)])
+            assert stack == want, (size, step)
+            assert difference == "ok", (size, step)
 
 
 @pytest.fixture
 def fresh_caches():
-    independence._double_shift_stack.cache_clear()
+    independence._shift_stack.cache_clear()
     trigring.ladder_rung.cache_clear()
     yield
-    independence._double_shift_stack.cache_clear()
+    independence._shift_stack.cache_clear()
     trigring.ladder_rung.cache_clear()
 
 
@@ -155,6 +164,9 @@ def test_ladder_rung_is_a_harmonic_step_power(fresh_caches):
         ladder_rung(1, Trig.SIN, 0, -1)
     with pytest.raises(ValueError):
         ladder_rung(-1, Trig.SIN, 0, 0)
+    for kind in ("cos", "sin", None):
+        with pytest.raises(TypeError, match="must be a Trig"):
+            ladder_rung(1, kind, 0, 0)
 
 
 def test_a_ladder_makes_no_derivative_cold_or_warm(monkeypatch, fresh_caches):
@@ -210,12 +222,29 @@ def test_a_wrong_stack_fails_the_checks(monkeypatch, fresh_caches):
         assert rep.computed.startswith("double-shift stack off the ladder: entry (")
         assert ", want " in rep.computed
         assert "-> FAIL" in rep.line()
+    # single shifts that do nothing: the even grid's stack is no longer
+    # Pascal's, and the Wronskian's double shifts are untouched
+    monkeypatch.setattr(ExactMatrix, "shift_rows",
+                        lambda m, offset, start: m if offset == 1 else shift_rows(m, offset, start))
+    independence._shift_stack.cache_clear()
+    for steps in EVEN_GRID_STEPS:
+        for shift in (0, 1, 2):
+            for n in (1, 2, 3):
+                for kind in (Trig.SIN, Trig.COS):
+                    rep = verify_even_hankel_transform(steps, shift, n, kind)
+                    assert not rep.passed
+                    assert rep.computed.startswith("row-shift stack off Pascal: entry ("), rep.line()
+    for n in (1, 2, 3):
+        for kind in (Trig.SIN, Trig.COS):
+            assert verify_wronskian_transform(n, kind).passed
+            assert verify_wronskian_factorization(n, 1, kind).passed
+            assert verify_dependence(n, kind).passed
 
 
-def _first_of_class(size: int, e: int, k: int) -> tuple[int, int]:
+def _first_of_class(size: int, step: int, e: int, k: int) -> tuple[int, int]:
     """The first (i, j) in row-major order, 0-indexed, of the ladder class (e, k)."""
     return next((i, j) for i in range(size) for j in range(size)
-                if (i % 2 + j % 2, i // 2 + j // 2) == (e, k))
+                if (i % step + j % step, i // step + j // step) == (e, k))
 
 
 def test_a_wrong_rung_in_any_class_fails_the_transform_check(monkeypatch, fresh_caches):
@@ -228,19 +257,36 @@ def test_a_wrong_rung_in_any_class_fails_the_transform_check(monkeypatch, fresh_
             monkeypatch.setattr(independence, "ladder_rung", lambda power, kind, order, depth:
                                 rung(power, kind, order, depth) + ((order, depth) == (e, k)))
             rep = verify_wronskian_transform(n, Trig.COS)
-            i, j = _first_of_class(2 * n, e, k)
+            i, j = _first_of_class(2 * n, 2, e, k)
             want = rung(n, Trig.COS, e, k) + 1
             assert not rep.passed, (e, k)
             assert rep.computed == f"entry ({i + 1},{j + 1}) is {rung(n, Trig.COS, e, k)}, want {want}", (e, k)
+    # the even grid's classes are k = i + j at order shift; the report is
+    # first_difference's between the conjugate by definition and the target
+    steps, shift = 3, 1
+    size = steps + 1
+    grid = ExactMatrix([[rung(n, Trig.SIN, shift + 2 * (i + j), 0) for j in range(size)] for i in range(size)])
+    conj = conjugate_by_definition(pascal_product(size), grid)
+    for k in range(1, 2 * size - 1):
+        monkeypatch.setattr(independence, "ladder_rung", lambda power, kind, order, depth:
+                            rung(power, kind, order, depth) + ((order, depth) == (shift, k)))
+        rep = verify_even_hankel_transform(steps, shift, n, Trig.SIN)
+        target = ExactMatrix([[independence.ladder_rung(n, Trig.SIN, shift, i + j) for j in range(size)]
+                              for i in range(size)])
+        i, j = _first_of_class(size, 1, 0, k)
+        assert not rep.passed, k
+        assert rep.computed == first_difference(conj, target), k
+        assert rep.computed.startswith(f"entry ({i + 1},{j + 1}) is "), k
     monkeypatch.setattr(independence, "ladder_rung", rung)
     assert verify_wronskian_transform(n, Trig.COS).passed
+    assert verify_even_hankel_transform(steps, shift, n, Trig.SIN).passed
 
 
 def test_transform_entries_match_the_product_by_definition():
     for n in range(1, 13):
         for kind in (Trig.SIN, Trig.COS):
             spec = ChainSpec(n, 0, kind, 2 * n)
-            stack = independence._double_shift_stack(2 * n)[0]
+            stack = independence._shift_stack(2 * n, 2)[0]
             want = _conjugated_by_definition(spec)
             h = [ladder_rung(n, kind, t, 0) for t in range(4 * n - 1)]
             for i in range(2 * n):
@@ -253,7 +299,7 @@ def test_transform_entries_match_the_product_by_definition():
 def test_determinants_make_no_ring_product(fresh_caches):
     # a product with a TrigPoly operand raises, so no check can make one
     w = wronskian_hankel(ChainSpec(1, 0, Trig.SIN, 4))
-    stack = independence._double_shift_stack(4)[0]
+    stack = independence._shift_stack(4, 2)[0]
     for a, b in ((stack, w), (w, stack.transpose()), (w, w)):
         with pytest.raises(TypeError):
             a @ b

@@ -21,7 +21,7 @@ from wronskit import (
     scaled_coordinate_matrix,
 )
 from wronskit import matrix
-from wronskit.independence import _conjugated_entry, _double_shift_stack
+from wronskit.independence import _conjugated_entry, _shift_stack
 from oracles import (
     basis_element,
     conjugate_by_definition,
@@ -581,7 +581,7 @@ def test_shift_products_scan_no_entry_and_a_rational_product_each_factor_once(mo
 
     monkeypatch.setattr(matrix, "_scan_ring", counted)
     assert pascal_product(29) == build(MatrixSpec(MatrixKind.PASCAL, n=29))
-    assert _double_shift_stack.__wrapped__(12)[1] == "ok"
+    assert _shift_stack.__wrapped__(12, 2)[1] == "ok"
     assert scanned == []
     rng = Random(23)
     a, b = random_rational_matrix(rng, 5, mixed=True), random_int_matrix(rng, 5, 5)
@@ -672,8 +672,9 @@ def test_rational_rows_read_back_as_given(rows):
     for i, given_row in enumerate(rows):
         assert m.row(i) == tuple(given_row)
         for j, v in enumerate(given_row):
-            got = m[i, j]
-            assert got == v and type(got) is (int if Fraction(v).denominator == 1 else Fraction)
+            # a fresh copy, not yet scanned, reads the same through either accessor
+            for got in (m[i, j], ExactMatrix(rows)[i, j], ExactMatrix(rows).row(i)[j]):
+                assert got == v and type(got) is (int if Fraction(v).denominator == 1 else Fraction)
     # rendered from the ints as the given entries render
     assert m.to_json_dict()["entries"] == [str(v) for r in rows for v in r]
     assert m.pretty() == ExactMatrix(rows).pretty()
@@ -745,10 +746,12 @@ def test_rational_format_matches_oracles(factors):
 @settings(deadline=None, max_examples=60)
 def test_float_and_bool_entries_raise_among_rationals(rows, bad, rng):
     rows = [list(r) for r in rows]
-    rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] = bad
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[i][j] = bad
     m = ExactMatrix(rows)
     square = ExactMatrix([[1] * len(rows)] * len(rows))
-    for op in (m.determinant, m.rank, lambda: square @ m, lambda: m.transpose() @ square):
+    for op in (m.determinant, m.rank, lambda: square @ m, lambda: m.transpose() @ square,
+               lambda: ExactMatrix(rows)[i, j]):
         with pytest.raises(TypeError, match=f"must be int, Fraction or TrigPoly, not {type(bad).__name__}"):
             op()
 
@@ -835,13 +838,15 @@ def test_double_shift_differences_reduce_the_coordinate_checkerboard(n, data):
     size = 2 * n + 2
     pattern = binomial_pattern_matrix(n)
     for m in (pattern, scaled_coordinate_matrix(coordinate_matrix(n), n)):
-        assert m.difference_determinant(2) == 2 ** (n * (n + 1))
+        assert m.difference_determinant(2) == m.determinant() == 2 ** (n * (n + 1))
     # an off-parity entry in any row but the last breaks the checkerboard
     i = data.draw(st.integers(0, size - 2))
     j = data.draw(st.sampled_from(range(1 - i % 2, size, 2)))
     rows = [list(pattern.row(r)) for r in range(size)]
     rows[i][j] = data.draw(SLOPES)
-    assert ExactMatrix(rows).difference_determinant(2) is None
+    broken = ExactMatrix(rows)
+    assert broken.difference_determinant(2) is None
+    _same_as_oracles(broken.determinant(), broken)
 
 
 def test_differences_take_no_trig_or_non_square_matrix():
