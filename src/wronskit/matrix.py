@@ -12,7 +12,10 @@ matrix (step 1) and the coordinate checkerboard (step 2) triangular and
 checks that it did; one fraction-free (Bareiss) elimination for the rank
 over Z and Q and for every determinant that neither step reduces; a
 division-free determinant memoized over column subsets for TrigPoly
-entries, each minor one TrigPoly.sum_of_products; and the interleave split
+entries (``_subset_minor``), whose minors are either packed ints, for a
+dense matrix of int linear forms A(x) c + B(x) s of order 4 to 8 (one int
+per coefficient of c^(k-e) s^e, by Kronecker substitution x = 2^W), or else
+TrigPoly values, each one TrigPoly.sum_of_products; and the interleave split
 of a checkerboard matrix.
 
 A matrix over Q holds no Fraction.  It is stored as integer numerator rows,
@@ -32,7 +35,7 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
-from operator import add, floordiv, mul, ne, sub
+from operator import add, attrgetter, floordiv, itemgetter, mul, ne, sub
 
 from .combinatorics import common_denominator
 from .trigring import TrigPoly
@@ -316,11 +319,55 @@ class ExactMatrix:
         then the Bareiss elimination that ``rank`` uses: O(n^3)
         multiplications and exact divisions on the integer rows.  A step
         that does not reduce costs a row or two of subtractions: a random
-        matrix fails both at its first row.  A matrix with a TrigPoly entry
-        takes the division-free expansion along the last row of each
-        leading-rows submatrix, memoized over column subsets: O(n 2^n) ring
-        operations instead of n!, each minor of two or more rows one
-        TrigPoly.sum_of_products over its signed (entry, sub-minor) pairs.
+        matrix fails both at its first row.
+
+        A matrix with a TrigPoly entry takes the division-free expansion
+        along the last row of each leading-rows submatrix, memoized over
+        column subsets (``_subset_minor``): O(n 2^n) ring operations instead
+        of n!, with zero entries and zero minors pruned.  Its minors have
+        one of two encodings:
+
+        - packed (``_packed_determinant``) where ``_packed_route`` finds the
+          order in PACKED_ORDERS and every entry a nonzero linear form
+          A(x) c + B(x) s with int coefficients and x-degree at most the
+          order, and a slot width of at most PACKED_MAX_WIDTH bits: a k-row
+          minor is a form of degree k in (c, s), kept as its k + 1
+          coefficients in Z[x], each one int by Kronecker substitution, so
+          every polynomial product is one int multiplication;
+        - TrigPoly everywhere else: each minor of two or more rows is one
+          TrigPoly.sum_of_products over its signed (entry, sub-minor) pairs,
+          one dict update per pair of nonzero terms.  This is the route the
+          tests take as the reference.
+
+        A packed product costs about W^2 per pair of coefficient slots, W
+        the one slot width that the largest coefficients set, zero
+        coefficients included, and the packing costs a fixed 30-60 us.
+        Cross-over, as TrigPoly time over packed time (best of several runs
+        in one process; even grid: D^(2+2(i+j)) x^n cos x, dense ladder:
+        ladder_wronskian at shift 0 with no zero entry; shared 2-core x86,
+        Python 3.11):
+
+        ============================================  ================
+        matrix                                        packed speed-up
+        ============================================  ================
+        even grid, order 2                            0.3-0.5
+        even grid, order 3, n = 1, 2 / n = 4, 8       0.8-1.0 / 1.5-1.7
+        even grid, orders 4-8, n <= order             1.1-5.0
+        dense ladder, orders 4-8, n <= order          1.1-3.4
+        even grid, orders 4-7, n = order + 1..4       1.6-4.4
+        dense ladder, orders 4-5, n = order + 1..3    1.2-2.0
+        dense ladder, orders 6-8, n = order + 1..3    0.33-1.7
+        even grid, order 9, n <= 6 / n = 8            1.3-2.4 / 0.9
+        dense ladder, order 9, n = 8 / n = 9          1.3 / 0.48
+        orders 4-8, W = 328-1127 (shifts 10^3-10^9)   0.18-1.1
+        ladder with zero entries, orders 8-42         0.04-0.35
+        ============================================  ================
+
+        So the packed minors take orders 4-8 (order 3 loses at small n,
+        order 9 at n = 8 and 9), entries of x-degree at most the order
+        (longer ladder entries lose from order 6 on, even where grids would
+        still win) and widths up to 320 bits (the large-shift losses start
+        at 328); a zero entry leaves them to the TrigPoly route's pruning.
         """
         if len(self._r) != self._cols:
             raise ValueError("determinant needs a square matrix")
@@ -330,32 +377,9 @@ class ExactMatrix:
                 det = self.difference_determinant(2)
             return self._bareiss()[1] if det is None else det
         rows = self._r
-        memo: dict[int, Entry] = {}
-
-        def minor(mask: int) -> Entry:
-            got = memo.get(mask)
-            if got is not None:
-                return got
-            k = mask.bit_count()
-            if k == 1:
-                return rows[0][mask.bit_length() - 1]
-            line = rows[k - 1]
-            terms = []
-            pos = k - 1
-            m = mask
-            while m:
-                c = (m & -m).bit_length() - 1
-                entry = line[c]
-                if entry:
-                    sub = minor(mask ^ (1 << c))
-                    if sub:
-                        terms.append((-1 if pos % 2 else 1, entry, sub))
-                pos += 1
-                m &= m - 1
-            memo[mask] = got = TrigPoly.sum_of_products(terms)
-            return got
-
-        return minor((1 << len(rows)) - 1)
+        if _packed_route(rows):
+            return _packed_determinant(rows)
+        return _subset_minor(rows, TrigPoly.sum_of_products)
 
     def rank(self) -> int:
         """Rank by the Bareiss elimination.  Entries must embed in the
@@ -420,6 +444,157 @@ class ExactMatrix:
 
 
 _RINGS = frozenset({int, Fraction, TrigPoly})
+
+# The packed minors' domain (ExactMatrix.determinant has the measured
+# cross-over): the orders, and the widest slot in bits.
+PACKED_ORDERS = range(4, 9)
+PACKED_MAX_WIDTH = 320
+
+
+def _subset_minor(rows, combine):
+    """The determinant of the square rows by expansion along the last row of
+    each leading-rows submatrix, memoized over column masks.  A 1-row minor
+    is the entry itself; a k-row minor is combine(terms), where terms lists
+    (sign, entry, (k-1)-row minor) for every nonzero entry of row k-1 in the
+    mask whose minor without that column is nonzero.  combine returns a
+    falsy value exactly when the minor is zero."""
+    memo = {}
+
+    def minor(mask: int):
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        k = mask.bit_count()
+        if k == 1:
+            return rows[0][mask.bit_length() - 1]
+        line = rows[k - 1]
+        terms = []
+        pos = k - 1
+        m = mask
+        while m:
+            c = (m & -m).bit_length() - 1
+            entry = line[c]
+            if entry:
+                sub = minor(mask ^ (1 << c))
+                if sub:
+                    terms.append((-1 if pos % 2 else 1, entry, sub))
+            pos += 1
+            m &= m - 1
+        memo[mask] = got = combine(terms)
+        return got
+
+    return minor((1 << len(rows)) - 1)
+
+
+def _packed_route(rows) -> bool:
+    """Whether the determinant of the square TrigPoly rows takes packed
+    minors: its order is in PACKED_ORDERS, every entry is a nonzero linear
+    form A(x) c + B(x) s with int coefficients, no entry has an x-degree
+    above the order, and the slot width is at most PACKED_MAX_WIDTH.  Zero
+    entries are looked for first, from the last entry of the last row back,
+    so a matrix with a zero there, as a threshold ladder has, costs one
+    look; the other tests are C-level passes over all terms."""
+    if len(rows) not in PACKED_ORDERS or not all(map(all, map(reversed, reversed(rows)))):
+        return False
+    entries = list(chain.from_iterable(rows))
+    if set(map(type, entries)) != {TrigPoly}:
+        return False
+    # the term dicts themselves: a read-only view (TrigPoly.p) per entry costs
+    # more than the tests
+    ps = list(map(attrgetter("_p"), entries))
+    qs = list(map(attrgetter("_q"), entries))
+    pkeys = set(chain.from_iterable(ps))
+    qkeys = set(chain.from_iterable(qs))
+    return (set(map(itemgetter(1), pkeys)) <= {1}
+            and set(map(itemgetter(1), qkeys)) <= {0}
+            and max(map(itemgetter(0), pkeys | qkeys)) <= len(rows)
+            and set(map(type, chain.from_iterable(map(dict.values, ps + qs)))) <= {int}
+            and _slot_width(rows) <= PACKED_MAX_WIDTH)
+
+
+def _slot_width(rows) -> int:
+    """The packed slot width W of the rows (``_packed_determinant``)."""
+    bound = 1
+    for row in rows:
+        parts = [*map(attrgetter("_p"), row), *map(attrgetter("_q"), row)]
+        bound *= max(1, sum(map(abs, chain.from_iterable(map(dict.values, parts)))))
+    return bound.bit_length() + 1
+
+
+def _packed_determinant(rows) -> TrigPoly:
+    """The determinant of square rows of linear forms A(x) c + B(x) s with
+    int coefficients, by ``_subset_minor`` on packed minors.
+
+    Packing: with a slot width of W bits, sum a_d x^d is the int
+    sum a_d 2^(W d) (Kronecker substitution, a ring map from Z[x]), so one
+    int product is one polynomial product.  An entry is the pair (A, B); a
+    k-row minor, sum over e of delta_e c^(k-e) s^e with s^2 left unreduced,
+    is the list of its k + 1 packed delta_e.  An entry times a minor adds
+    A delta_e to slot e and B delta_e to slot e + 1 (``_packed_sum``).
+
+    Width: W = ``_slot_width(rows)``, the bit length of the product over
+    rows of the rows' coefficient 1-norms (each at least 1), plus one.  That
+    norm is submultiplicative, and a minor of the leading k rows on any
+    columns is a signed sum of products of one entry per row, so every
+    coefficient of every such minor, taken unreduced, is at most the
+    product of its rows' sums, hence below 2^(W-1).  The balanced base-2^W
+    digits of each packed slot are then exactly its coefficients, and a
+    slot is 0 only if its polynomial is: zero minors are pruned as on the
+    TrigPoly route.  The result is decoded once (``_unpack_form``)."""
+    width = _slot_width(rows)
+    packed = [[(_pack(e._p, width), _pack(e._q, width)) if e else () for e in row] for row in rows]
+    return _unpack_form(_subset_minor(packed, _packed_sum), width)
+
+
+def _pack(terms, width: int) -> int:
+    """The int sum of v 2^(width d) over the terms (d, _) -> v."""
+    return sum([v << width * d for (d, _), v in terms.items()])
+
+
+def _packed_sum(terms) -> list[int] | tuple[()]:
+    """The packed minor sum of sign (A c + B s) delta over the (sign, (A, B),
+    delta) terms, each delta one packed minor of k slots: k + 1 slots, or ()
+    when every slot is zero."""
+    if not terms:
+        return ()
+    acc = [0] * (len(terms[0][2]) + 1)
+    for sign, (a, b), sub in terms:
+        if sign < 0:
+            a, b = -a, -b
+        e = 0
+        for d in sub:
+            acc[e] += a * d
+            e += 1
+            acc[e] += b * d
+    return acc if any(acc) else ()
+
+
+def _unpack_form(slots, width: int) -> TrigPoly:
+    """The TrigPoly of sum delta_e c^(m-e) s^e over the m + 1 packed slots
+    (none: zero), s^(2h) reduced to (1 - c^2)^h."""
+    m = len(slots) - 1
+    half, low = 1 << width - 1, (1 << width) - 1
+    p: dict = {}
+    q: dict = {}
+    for e, v in enumerate(slots):
+        coeffs = []  # (x degree, coefficient): the balanced base-2^width digits of v
+        d = 0
+        while v:
+            r = v & low
+            if r >= half:
+                r -= low + 1
+            if r:
+                coeffs.append((d, r))
+            v = (v - r) >> width
+            d += 1
+        h, odd = divmod(e, 2)
+        out = q if odd else p
+        for j in range(h + 1):
+            k = -math.comb(h, j) if j % 2 else math.comb(h, j)
+            cd = m - e + 2 * j
+            for d, r in coeffs:
+                out[d, cd] = out.get((d, cd), 0) + k * r
+    return TrigPoly(p, q)
 
 
 def _scan_ring(rows: tuple[tuple[Entry, ...], ...]) -> type:

@@ -362,6 +362,98 @@ def test_rational_matrices_never_reach_the_ring_kernel(monkeypatch):
     assert isinstance(random_rational_matrix(rng, 4).determinant(), (int, Fraction))
 
 
+def _ring_minors(rows):
+    """The determinant by TrigPoly minors, the route every other matrix takes."""
+    return matrix._subset_minor(rows, TrigPoly.sum_of_products)
+
+
+def _linear_form(rng: Random, max_x: int = 3, bound: int = 5) -> TrigPoly:
+    """A nonzero A(x) c + B(x) s with int coefficients."""
+    while True:
+        form = TrigPoly({(rng.randint(0, max_x), 1): rng.randint(-bound, bound) for _ in range(2)},
+                        {(rng.randint(0, max_x), 0): rng.randint(-bound, bound) for _ in range(2)})
+        if form:
+            return form
+
+
+def _scaled_ones(rng: Random, order: int) -> tuple[list[list[TrigPoly]], TrigPoly]:
+    """Dense rows f_i (I + J)[i] of linear forms, J the all-ones matrix, and
+    their determinant (order + 1) f_0 ... f_(order-1) by ring products."""
+    forms = [_linear_form(rng) for _ in range(order)]
+    rows = [[f * (2 if i == j else 1) for j in range(order)] for i, f in enumerate(forms)]
+    det = TrigPoly.constant(order + 1)
+    for f in forms:
+        det = det * f
+    return rows, det
+
+
+def test_ladder_determinants_match_the_ring_minors_at_every_count(monkeypatch):
+    # from dense short chains (packed) past the threshold 2n+2 (zero entries)
+    for n in range(6):
+        for shift in range(3):
+            for kind in (Trig.SIN, Trig.COS):
+                for count in range(1, 2 * n + 4):
+                    m = ladder_wronskian(ChainSpec(n, shift, kind, count))
+                    det = m.determinant()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(matrix, "_packed_determinant", _ring_minors)
+                        assert det == m.determinant(), (n, shift, kind, count)
+                    if count <= 6:
+                        assert det == determinant_by_permutations(m), (n, shift, kind, count)
+
+
+_coefficients = st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=6)  # x-degree up to 5
+_forms = st.builds(lambda a, b: TrigPoly({(d, 1): v for d, v in enumerate(a)},
+                                         {(d, 0): v for d, v in enumerate(b)}),
+                   _coefficients, _coefficients).filter(bool)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(_forms, min_size=n, max_size=n),
+                                                    min_size=n, max_size=n)))
+@settings(deadline=None, max_examples=30)
+def test_packed_minors_match_the_permutation_oracle(rows):
+    m = ExactMatrix(rows)
+    det = matrix._packed_determinant(rows)
+    assert isinstance(det, TrigPoly)
+    assert det == determinant_by_permutations(m), m.pretty()
+    if len(rows) > 1:
+        assert matrix._packed_determinant(rows[:-1] + rows[:1]) == TrigPoly()
+
+
+def test_dense_linear_forms_of_orders_4_to_8_take_packed_minors(monkeypatch):
+    rng = Random(23)
+    for order in (4, 8):
+        rows, want = _scaled_ones(rng, order)
+        assert _ring_minors(rows) == want
+        if order == 4:
+            assert determinant_by_permutations(ExactMatrix(rows)) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(TrigPoly, "sum_of_products", staticmethod(
+                lambda terms: pytest.fail("TrigPoly kernel called on packed minors")))
+            assert ExactMatrix(rows).determinant() == want
+
+
+def test_other_trig_matrices_never_reach_the_packed_minors(monkeypatch):
+    rng = Random(29)
+    dense = [[_linear_form(rng) for _ in range(4)] for _ in range(4)]
+    assert matrix._packed_route(dense)
+    zero, squared, fraction, integer, tall, wide = (list(map(list, dense)) for _ in range(6))
+    zero[1][2] = TrigPoly()
+    squared[2][0] = squared[2][0] + TrigPoly({(1, 2): 3})
+    fraction[0][3] = fraction[0][3] + TrigPoly({(0, 1): Fraction(1, 2)})
+    integer[3][1] = 7
+    tall[2][2] = tall[2][2] + TrigPoly({(5, 0): 1})  # x-degree 5 above the order
+    wide[0][0] = wide[0][0] + TrigPoly({(0, 1): 2 ** matrix.PACKED_MAX_WIDTH})
+    order_three = [row[:3] for row in dense[:3]]
+    cases = [(m, determinant_by_permutations(m))
+             for m in map(ExactMatrix, (order_three, zero, squared, fraction, integer, tall, wide))]
+    nine, want = _scaled_ones(rng, 9)
+    cases.append((ExactMatrix(nine), want))
+    monkeypatch.setattr(matrix, "_packed_determinant", lambda rows: pytest.fail("packed minors reached"))
+    for m, want in cases:
+        assert m.determinant() == want, m.pretty()
+
+
 @given(matched_square_pairs)
 @settings(deadline=None, max_examples=40)
 def test_determinant_multiplicative(pair):
