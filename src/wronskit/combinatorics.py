@@ -38,12 +38,12 @@ def binomial(x: Rat, k: int) -> Rat:
     C(x, k) = (-1)^k C(k - x - 1, k); for 0 <= x < k the value is 0.  For
     x = p/q in lowest terms with q > 1 the numerator prod (p - i q) over
     i < k runs on ints and one Fraction divides it by q^k k!; k = 0 gives
-    the int 1.
+    the int 1.  Any other x raises TypeError.
     """
     if k < 0:
         raise ValueError("binomial needs k >= 0")
     # an int is tested first: isinstance(x, Fraction) is an ABC check per call
-    if not isinstance(x, int) and x.denominator == 1:
+    if not isinstance(x, int) and _rational(x).denominator == 1:
         x = int(x)
     if isinstance(x, int):
         if x >= 0:
@@ -58,11 +58,19 @@ def binomial(x: Rat, k: int) -> Rat:
     return Fraction(num, q ** k * math.factorial(k))
 
 
-def common_denominator(values) -> tuple[list[int], int]:
+def common_denominator(values: Sequence[Rat]) -> tuple[list[int], int]:
     """Rationals as integer numerators over one common denominator, the lcm
-    of theirs: ([v * common for v in values], common)."""
-    common = math.lcm(*[v.denominator for v in values])
+    of theirs: ([v * common for v in values], common).  TypeError for a
+    value that is neither an int nor a Fraction."""
+    common = math.lcm(*[_rational(v).denominator for v in values])
     return [v.numerator * (common // v.denominator) for v in values], common
+
+
+def _rational(x: Rat) -> Rat:
+    """x itself if it is an int or a Fraction, else TypeError naming its type."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"rationals must be int or Fraction, not {type(x).__name__}")
 
 
 def binomial_column(x: int, size: int) -> list[int]:

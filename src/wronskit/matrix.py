@@ -1,16 +1,16 @@
 """Immutable matrices over the exact rings used here (int, Fraction,
-TrigPoly), each a tuple of row tuples read a row at a time.  Each caches its
-ring, the widest entry type: the constructors that know it set it, and any
-other matrix learns it from one scan of its entries at its first entry
-read, product, determinant or rank, refusing an entry of any other type.
-Operations: a product over Z and Q that sums the right factor's rows, one
-per nonzero left entry; ``shift_rows``, an int matrix's product by a unit
-lower shift matrix as row additions, and ``shift_stack``, the paper's stack
-of such shifts on the identity; ``difference_determinant``, that stack run
-backwards as signed column differences, which makes every affine binomial
-matrix (step 1) and the coordinate checkerboard (step 2) triangular and
-checks that it did; one fraction-free (Bareiss) elimination for the rank
-over Z and Q and for every determinant that neither step reduces; a
+TrigPoly), each a tuple of row tuples read a row at a time.  Each holds its
+ring, the widest entry type, from the moment it is built: the constructors
+that know it set it, and the public constructor learns it from one scan of
+the entries, refusing an entry of any other type.  Operations: a product
+over Z and Q that sums the right factor's rows, one per nonzero left entry;
+``shift_rows``, an int matrix's product by a unit lower shift matrix as row
+additions, and ``shift_stack``, the paper's stack of such shifts on the
+identity; ``difference_determinant``, that stack run backwards as signed
+column differences, which makes every affine binomial matrix (step 1) and
+the coordinate checkerboard (step 2) triangular and checks that it did; one
+fraction-free (Bareiss) elimination for the rank over Z and Q and for every
+determinant that neither step reduces; a
 division-free determinant memoized over column subsets for TrigPoly
 entries (``_subset_minor``), whose minors are either packed ints, for a
 dense matrix of int linear forms A(x) c + B(x) s of order 4 to 8 (one int
@@ -26,8 +26,7 @@ matrix.  The operations and ``==`` work on those ints.  Fractions are built
 only where entries are read (``row``, ``m[i, j]``, ``pretty``,
 ``to_json_dict``, the message of ``first_difference``) and once per rational
 determinant; an entry reads as an int when its value is one, zeros
-included.  A matrix built from Fraction entries takes this form at the scan
-that learns its ring."""
+included.  ``ExactMatrix(rows)`` given Fraction entries stores them so."""
 
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
-from operator import add, attrgetter, floordiv, itemgetter, mul, ne, sub
+from operator import add, floordiv, mul, ne, sub
 
 from .combinatorics import common_denominator
 from .trigring import TrigPoly
@@ -45,8 +44,9 @@ Entry = object  # int | Fraction | TrigPoly
 
 class ExactMatrix:
     """Immutable matrix: ``_r`` its row tuples, shared between matrices,
-    ``_ring`` the cached ring (None until known), ``_den`` None or, over Q,
-    the row denominators of the integer rows in ``_r``."""
+    ``_ring`` its ring (int, Fraction or TrigPoly), ``_den`` None or, over
+    Q, the row denominators of the integer rows in ``_r``.  None of them
+    changes after construction."""
 
     __slots__ = ("_r", "_cols", "_ring", "_den")
 
@@ -57,15 +57,20 @@ class ExactMatrix:
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("rows have unequal lengths")
+        ring = _scan_ring(data)
+        den = None
+        if ring is Fraction:
+            m = ExactMatrix._over(*zip(*map(common_denominator, data)), width)
+            data, den, ring = m._r, m._den, m._ring
         self._r = data
         self._cols = width
-        self._ring = None
-        self._den = None
+        self._ring = ring
+        self._den = den
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[Entry, ...], ...], cols: int, ring: type | None) -> "ExactMatrix":
+    def _of(cls, rows: tuple[tuple[Entry, ...], ...], cols: int, ring: type) -> "ExactMatrix":
         """Wrap finished row tuples, each of length cols, whose widest entry
-        type is ring (None: not known yet), without copying or checking them."""
+        type is ring, without copying or checking them."""
         m = cls.__new__(cls)
         m._r = rows
         m._cols = cols
@@ -132,9 +137,9 @@ class ExactMatrix:
         (TypeError otherwise), as row additions in one C-level map: rows
         before start are shared, and row i >= start gains row i - offset."""
         _check_shift(len(self._r), offset, start)
-        if self._entry_ring() is not int:
+        if self._ring is not int:
             raise TypeError("row shifts need an int matrix")
-        rows = self._r  # read after the scan, which stores integral Fractions as ints
+        rows = self._r
         added = map(tuple, map(map, repeat(add), rows[start:], rows[start - offset:-offset]))
         return ExactMatrix._of(rows[:start] + tuple(added), self._cols, int)
 
@@ -151,14 +156,10 @@ class ExactMatrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self._cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self._cols}")
-        if self._ring is None:
-            self._entry_ring()
         v = self._r[i][j]
         return v if self._den is None else _ratio(v, self._den[i])
 
     def row(self, i: int) -> tuple[Entry, ...]:
-        if self._ring is None:
-            self._entry_ring()
         den = self._den
         if den is None or den[i] == 1:
             return self._r[i]
@@ -194,7 +195,7 @@ class ExactMatrix:
         if self._cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self._cols} @ {other.rows}x{other._cols}")
-        if TrigPoly in (self._entry_ring(), other._entry_ring()):
+        if TrigPoly in (self._ring, other._ring):
             raise TypeError("matrix products need integer or rational entries")
         cols = other._cols
         right, common = _over_common(other)
@@ -210,20 +211,6 @@ class ExactMatrix:
             return ExactMatrix._of(tuple(zip(*self._r)), rows, self._ring)
         scaled, common = _over_common(self)
         return ExactMatrix._over(zip(*scaled), repeat(common), rows)
-
-    def _entry_ring(self) -> type:
-        """The widest entry type, int, Fraction or TrigPoly: the cached
-        ``_ring``, filled by ``_scan_ring`` on first use.  Rows that hold a
-        Fraction are then stored as integer numerators over their row
-        denominators (``_over``)."""
-        ring = self._ring
-        if ring is None:
-            ring = _scan_ring(self._r)
-            if ring is Fraction:
-                m = ExactMatrix._over(*zip(*map(common_denominator, self._r)), self._cols)
-                self._r, self._den, ring = m._r, m._den, m._ring
-            self._ring = ring
-        return ring
 
     def _bareiss(self) -> tuple[int, Entry]:
         """Fraction-free (Bareiss) elimination on the integer rows: (rank,
@@ -295,7 +282,7 @@ class ExactMatrix:
         """
         if step < 1:
             raise ValueError(f"difference step must be >= 1, got {step}")
-        if len(self._r) != self._cols or self._entry_ring() is TrigPoly:
+        if len(self._r) != self._cols or self._ring is TrigPoly:
             return None
         det = 1
         for i, row in enumerate(self._r):
@@ -327,9 +314,11 @@ class ExactMatrix:
         of n!, with zero entries and zero minors pruned.  Its minors have
         one of two encodings:
 
-        - packed (``_packed_determinant``) where ``_packed_route`` finds the
-          order in PACKED_ORDERS and every entry a nonzero linear form
-          A(x) c + B(x) s with int coefficients and x-degree at most the
+        - packed (``_packed_determinant``) where the order is in
+          PACKED_ORDERS, no entry is zero (looked for from the last entry
+          back, so a threshold ladder is refused at one look), and one walk
+          over the terms (``_linear_form_shape``) finds every entry a linear
+          form A(x) c + B(x) s with int coefficients, of x-degree at most the
           order, and a slot width of at most PACKED_MAX_WIDTH bits: a k-row
           minor is a form of degree k in (c, s), kept as its k + 1
           coefficients in Z[x], each one int by Kronecker substitution, so
@@ -341,11 +330,14 @@ class ExactMatrix:
 
         A packed product costs about W^2 per pair of coefficient slots, W
         the one slot width that the largest coefficients set, zero
-        coefficients included, and the packing costs a fixed 30-60 us.
-        Cross-over, as TrigPoly time over packed time (best of several runs
-        in one process; even grid: D^(2+2(i+j)) x^n cos x, dense ladder:
-        ladder_wronskian at shift 0 with no zero entry; shared 2-core x86,
-        Python 3.11):
+        coefficients included, and the walk and the packing cost a fixed
+        25-35 us at order 4 and 100-145 us at order 8.  Cross-over, as
+        TrigPoly time over packed time (best of several runs in one process;
+        even grid: D^(2+2(i+j)) x^n cos x, dense ladder: ladder_wronskian at
+        shift 0 with no zero entry; shared 2-core x86, Python 3.11; measured
+        when choosing the route took three passes over the terms, about
+        30 us more at order 4, so the packed side is now a little faster
+        than listed):
 
         ============================================  ================
         matrix                                        packed speed-up
@@ -371,20 +363,23 @@ class ExactMatrix:
         """
         if len(self._r) != self._cols:
             raise ValueError("determinant needs a square matrix")
-        if self._entry_ring() is not TrigPoly:
+        if self._ring is not TrigPoly:
             det = self.difference_determinant(1)
             if det is None:
                 det = self.difference_determinant(2)
             return self._bareiss()[1] if det is None else det
         rows = self._r
-        if _packed_route(rows):
-            return _packed_determinant(rows)
+        order = len(rows)
+        if order in PACKED_ORDERS and all(map(all, map(reversed, reversed(rows)))):
+            shape = _linear_form_shape(rows)
+            if shape is not None and shape[1] <= order and shape[0] <= PACKED_MAX_WIDTH:
+                return _packed_determinant(rows, shape[0])
         return _subset_minor(rows, TrigPoly.sum_of_products)
 
     def rank(self) -> int:
         """Rank by the Bareiss elimination.  Entries must embed in the
         rationals; TrigPoly matrices have no rank here."""
-        if self._entry_ring() is TrigPoly:
+        if self._ring is TrigPoly:
             raise TypeError("rank needs integer or rational entries")
         return self._bareiss()[0]
 
@@ -486,42 +481,30 @@ def _subset_minor(rows, combine):
     return minor((1 << len(rows)) - 1)
 
 
-def _packed_route(rows) -> bool:
-    """Whether the determinant of the square TrigPoly rows takes packed
-    minors: its order is in PACKED_ORDERS, every entry is a nonzero linear
-    form A(x) c + B(x) s with int coefficients, no entry has an x-degree
-    above the order, and the slot width is at most PACKED_MAX_WIDTH.  Zero
-    entries are looked for first, from the last entry of the last row back,
-    so a matrix with a zero there, as a threshold ladder has, costs one
-    look; the other tests are C-level passes over all terms."""
-    if len(rows) not in PACKED_ORDERS or not all(map(all, map(reversed, reversed(rows)))):
-        return False
-    entries = list(chain.from_iterable(rows))
-    if set(map(type, entries)) != {TrigPoly}:
-        return False
-    # the term dicts themselves: a read-only view (TrigPoly.p) per entry costs
-    # more than the tests
-    ps = list(map(attrgetter("_p"), entries))
-    qs = list(map(attrgetter("_q"), entries))
-    pkeys = set(chain.from_iterable(ps))
-    qkeys = set(chain.from_iterable(qs))
-    return (set(map(itemgetter(1), pkeys)) <= {1}
-            and set(map(itemgetter(1), qkeys)) <= {0}
-            and max(map(itemgetter(0), pkeys | qkeys)) <= len(rows)
-            and set(map(type, chain.from_iterable(map(dict.values, ps + qs)))) <= {int}
-            and _slot_width(rows) <= PACKED_MAX_WIDTH)
-
-
-def _slot_width(rows) -> int:
-    """The packed slot width W of the rows (``_packed_determinant``)."""
+def _linear_form_shape(rows) -> tuple[int, int] | None:
+    """(W, D) for rows whose every entry is a nonzero linear form
+    A(x) c + B(x) s with int coefficients, from one walk over their terms:
+    W the packed slot width (``_packed_determinant``), D the largest x-degree.
+    None at the first entry that is no such form."""
     bound = 1
+    degree = 0
     for row in rows:
-        parts = [*map(attrgetter("_p"), row), *map(attrgetter("_q"), row)]
-        bound *= max(1, sum(map(abs, chain.from_iterable(map(dict.values, parts)))))
-    return bound.bit_length() + 1
+        norm = 0
+        for e in row:
+            if type(e) is not TrigPoly or not e:
+                return None
+            for terms, c in ((e._p, 1), (e._q, 0)):  # A c: p keys (d, 1); B s: q keys (d, 0)
+                for (d, k), v in terms.items():
+                    if k != c or type(v) is not int:
+                        return None
+                    norm += abs(v)
+                    if d > degree:
+                        degree = d
+        bound *= norm
+    return bound.bit_length() + 1, degree
 
 
-def _packed_determinant(rows) -> TrigPoly:
+def _packed_determinant(rows, width: int) -> TrigPoly:
     """The determinant of square rows of linear forms A(x) c + B(x) s with
     int coefficients, by ``_subset_minor`` on packed minors.
 
@@ -532,17 +515,16 @@ def _packed_determinant(rows) -> TrigPoly:
     is the list of its k + 1 packed delta_e.  An entry times a minor adds
     A delta_e to slot e and B delta_e to slot e + 1 (``_packed_sum``).
 
-    Width: W = ``_slot_width(rows)``, the bit length of the product over
-    rows of the rows' coefficient 1-norms (each at least 1), plus one.  That
-    norm is submultiplicative, and a minor of the leading k rows on any
+    Width: W = width, which ``_linear_form_shape`` gives as the bit length
+    of the product over rows of the rows' coefficient 1-norms, plus one.
+    That norm is submultiplicative, and a minor of the leading k rows on any
     columns is a signed sum of products of one entry per row, so every
     coefficient of every such minor, taken unreduced, is at most the
     product of its rows' sums, hence below 2^(W-1).  The balanced base-2^W
     digits of each packed slot are then exactly its coefficients, and a
     slot is 0 only if its polynomial is: zero minors are pruned as on the
     TrigPoly route.  The result is decoded once (``_unpack_form``)."""
-    width = _slot_width(rows)
-    packed = [[(_pack(e._p, width), _pack(e._q, width)) if e else () for e in row] for row in rows]
+    packed = [[(_pack(e._p, width), _pack(e._q, width)) for e in row] for row in rows]
     return _unpack_form(_subset_minor(packed, _packed_sum), width)
 
 

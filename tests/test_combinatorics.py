@@ -10,7 +10,7 @@ from wronskit import (
     check_odd_binomial_sum,
     falling_factorial,
 )
-from wronskit.combinatorics import binomial_column
+from wronskit.combinatorics import binomial_column, common_denominator
 from oracles import even_binomial_sum_by_fractions, odd_binomial_sum_by_fractions
 
 rationals = st.fractions(max_denominator=8).filter(lambda f: abs(f) <= 20)
@@ -84,6 +84,17 @@ def test_binomial_column_takes_only_int_arguments():
     for x in (Fraction(7, 3), Fraction(8, 2), 2.0):
         with pytest.raises(TypeError, match="binomial column needs an int upper argument"):
             binomial_column(x, 3)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", None, complex(1, 0)], ids=repr)
+def test_binomial_layer_names_a_value_that_is_neither_int_nor_fraction(bad):
+    name = type(bad).__name__
+    with pytest.raises(TypeError, match=f"must be int or Fraction, not {name}$"):
+        binomial(bad, 2)
+    for values in ([bad], [Fraction(1, 2), bad], [3, bad, 4]):
+        with pytest.raises(TypeError, match=f"must be int or Fraction, not {name}$"):
+            common_denominator(values)
+    assert common_denominator([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
 
 
 @given(rationals, st.integers(1, 8))

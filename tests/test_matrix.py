@@ -396,7 +396,7 @@ def test_ladder_determinants_match_the_ring_minors_at_every_count(monkeypatch):
                     m = ladder_wronskian(ChainSpec(n, shift, kind, count))
                     det = m.determinant()
                     with monkeypatch.context() as patch:
-                        patch.setattr(matrix, "_packed_determinant", _ring_minors)
+                        patch.setattr(matrix, "_packed_determinant", lambda rows, width: _ring_minors(rows))
                         assert det == m.determinant(), (n, shift, kind, count)
                     if count <= 6:
                         assert det == determinant_by_permutations(m), (n, shift, kind, count)
@@ -413,11 +413,13 @@ _forms = st.builds(lambda a, b: TrigPoly({(d, 1): v for d, v in enumerate(a)},
 @settings(deadline=None, max_examples=30)
 def test_packed_minors_match_the_permutation_oracle(rows):
     m = ExactMatrix(rows)
-    det = matrix._packed_determinant(rows)
+    width, _ = matrix._linear_form_shape(rows)
+    det = matrix._packed_determinant(rows, width)
     assert isinstance(det, TrigPoly)
     assert det == determinant_by_permutations(m), m.pretty()
     if len(rows) > 1:
-        assert matrix._packed_determinant(rows[:-1] + rows[:1]) == TrigPoly()
+        singular = rows[:-1] + rows[:1]
+        assert matrix._packed_determinant(singular, matrix._linear_form_shape(singular)[0]) == TrigPoly()
 
 
 def test_dense_linear_forms_of_orders_4_to_8_take_packed_minors(monkeypatch):
@@ -436,20 +438,29 @@ def test_dense_linear_forms_of_orders_4_to_8_take_packed_minors(monkeypatch):
 def test_other_trig_matrices_never_reach_the_packed_minors(monkeypatch):
     rng = Random(29)
     dense = [[_linear_form(rng) for _ in range(4)] for _ in range(4)]
-    assert matrix._packed_route(dense)
-    zero, squared, fraction, integer, tall, wide = (list(map(list, dense)) for _ in range(6))
+    width, degree = matrix._linear_form_shape(dense)
+    assert degree <= 4 and width <= matrix.PACKED_MAX_WIDTH
+    zero, first_zero, squared, fraction, integer, tall, wide = (list(map(list, dense)) for _ in range(7))
     zero[1][2] = TrigPoly()
-    squared[2][0] = squared[2][0] + TrigPoly({(1, 2): 3})
+    first_zero[0][1] = TrigPoly()
+    squared[2][0] = squared[2][0] + TrigPoly({(1, 2): 3})  # a c^2 term
     fraction[0][3] = fraction[0][3] + TrigPoly({(0, 1): Fraction(1, 2)})
     integer[3][1] = 7
-    tall[2][2] = tall[2][2] + TrigPoly({(5, 0): 1})  # x-degree 5 above the order
+    tall[2][2] = tall[2][2] + TrigPoly({(5, 1): 1})  # x^5 c: x-degree 5 above the order
     wide[0][0] = wide[0][0] + TrigPoly({(0, 1): 2 ** matrix.PACKED_MAX_WIDTH})
+    # the walk itself refuses every entry that is no nonzero int linear form
+    for rows in (zero, first_zero, squared, fraction, integer):
+        assert matrix._linear_form_shape(rows) is None
+    # and the rules refuse what it measures: D above the order, W above the bound
+    assert matrix._linear_form_shape(tall)[1] == 5
+    assert matrix._linear_form_shape(wide)[0] > matrix.PACKED_MAX_WIDTH
     order_three = [row[:3] for row in dense[:3]]
-    cases = [(m, determinant_by_permutations(m))
-             for m in map(ExactMatrix, (order_three, zero, squared, fraction, integer, tall, wide))]
+    cases = [(m, determinant_by_permutations(m)) for m in map(
+        ExactMatrix, (order_three, zero, first_zero, squared, fraction, integer, tall, wide))]
     nine, want = _scaled_ones(rng, 9)
     cases.append((ExactMatrix(nine), want))
-    monkeypatch.setattr(matrix, "_packed_determinant", lambda rows: pytest.fail("packed minors reached"))
+    monkeypatch.setattr(matrix, "_pack", lambda terms, width: pytest.fail("a refused matrix was packed"))
+    monkeypatch.setattr(matrix, "_packed_determinant", lambda rows, width: pytest.fail("packed minors reached"))
     for m, want in cases:
         assert m.determinant() == want, m.pretty()
 
@@ -564,13 +575,12 @@ def test_equality_requires_matching_shape():
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, True])
 def test_entries_outside_the_exact_rings_are_refused(bad):
-    m = ExactMatrix([[bad, 1], [1, 1]])
-    ints = ExactMatrix([[1, 2], [3, 4]])
-    name = type(bad).__name__
-    for op in (lambda: m @ ints, lambda: ints @ m, m.determinant, m.rank):
-        with pytest.raises(TypeError, match=f"must be int, Fraction or TrigPoly, not {name}"):
-            op()
+    # refused when the matrix is built, among ints, Fractions or TrigPolys
+    for rows in ([[bad, 1], [1, 1]], [[Fraction(1, 2), 1], [1, bad]], [[S, 0], [bad, C]]):
+        with pytest.raises(TypeError, match=f"must be int, Fraction or TrigPoly, not {type(bad).__name__}"):
+            ExactMatrix(rows)
     # a TrigPoly operand keeps its own messages
+    ints = ExactMatrix([[1, 2], [3, 4]])
     ring = ExactMatrix([[S, 0], [1, C]])
     with pytest.raises(TypeError, match="matrix products need integer or rational entries"):
         ring @ ints
@@ -578,12 +588,33 @@ def test_entries_outside_the_exact_rings_are_refused(bad):
         ring.rank()
 
 
+def test_stored_rows_are_never_rewritten():
+    ints = ExactMatrix([[2, 0, 1, 0], [0, 3, 0, 1], [1, 0, 4, 0], [0, 1, 0, 5]])
+    fractions = ExactMatrix([[Fraction(1, 2), 0, 1, 0], [0, Fraction(5, 7), 0, 3],
+                             [Fraction(2, 4), 0, 1, 0], [0, Fraction(6, 3), 0, Fraction(1, 3)]])
+    trig = ExactMatrix([[S, 0, C, 0], [0, C, 0, S * S], [C * C, 0, S, 0], [0, 2, 0, C]])
+    # the rational matrix whose first row read used to store it anew
+    mixed = ExactMatrix([[Fraction(1, 2), 1], [3, Fraction(5, 7)]])
+    for m in (ints, fractions, trig, mixed):
+        built = (m._r, m._den, m._ring)
+        reads = [lambda: m.row(0), lambda: m.row(1), lambda: m[1, 1], lambda: m == ints,
+                 lambda: m == m.transpose(), lambda: hash(m), m.determinant, m.transpose, m.pretty,
+                 m.to_json_dict]
+        if m._ring is not TrigPoly:
+            reads += [m.rank, lambda: m @ m, lambda: m.transpose() @ m]
+        if m.rows == 4:
+            reads.append(m.interleave_split)  # every matrix of order 4 here is a checkerboard
+        for read in reads:
+            read()
+        assert all(now is then for now, then in zip((m._r, m._den, m._ring), built)), m.pretty()
+
+
 def _check_storage(m: ExactMatrix) -> None:
     """m's rows hold what its ring says: ints and no denominators for an int
     matrix, entries as given for a TrigPoly one, and for a matrix over Q
     integer numerator rows, each over a positive denominator that shares no
     factor with the whole row, at least one denominator not 1."""
-    ring = m._entry_ring()
+    ring = m._ring
     if ring is TrigPoly:
         assert m._den is None
         return
@@ -596,17 +627,14 @@ def _check_storage(m: ExactMatrix) -> None:
         assert type(d) is int and d > 0 and math.gcd(d, *row) == 1
 
 
-def _check_ring(m: ExactMatrix, declared: bool) -> None:
-    """m's ring, declared by its constructor or not, is what a fresh scan of
-    its entries as they read gives; m is stored as a fresh matrix of those
-    entries is once it has scanned them, and renders as that matrix."""
-    assert (m._ring is not None) == declared
-    ring = m._entry_ring()
+def _check_ring(m: ExactMatrix) -> None:
+    """m's ring, set by its constructor, is what a fresh scan of its entries
+    as they read gives; m is stored as a fresh matrix of those entries is,
+    and renders as that matrix."""
     _check_storage(m)
     rows = [list(m.row(i)) for i in range(m.rows)]
     fresh = ExactMatrix(rows)
-    assert fresh._ring is None
-    assert ring is fresh._entry_ring() is matrix._scan_ring(rows)
+    assert m._ring is fresh._ring is matrix._scan_ring(rows)
     assert (m._r, m._den) == (fresh._r, fresh._den)
     assert str(m) == str(fresh) and m.to_json_dict() == fresh.to_json_dict() and m == fresh
 
@@ -619,13 +647,13 @@ def test_products_transposes_and_unit_lower_declare_their_scanned_ring(factors, 
     a, b = ExactMatrix(factors[0]), ExactMatrix(factors[1])
     product = a @ b
     # every product, int or rational, is built in its final form and declares its ring
-    _check_ring(product, declared=True)
-    _check_ring(product.transpose(), declared=True)
+    _check_ring(product)
+    _check_ring(product.transpose())
     offset = min(offset, n)
     unit = ExactMatrix.unit_lower(n, offset, min(max(start, offset), n))
-    _check_ring(unit, declared=True)
-    _check_ring(unit.transpose(), declared=True)
-    _check_ring(unit @ unit, declared=True)
+    _check_ring(unit)
+    _check_ring(unit.transpose())
+    _check_ring(unit @ unit)
 
 
 RATS = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
@@ -653,14 +681,14 @@ def _spec(kind: MatrixKind):
 def test_every_built_kind_declares_its_scanned_ring(kind, data):
     # integral Fractions (4/2) among the affine and node inputs build int columns
     m = build(data.draw(_spec(kind)))
-    _check_ring(m, declared=True)
-    _check_ring(m.transpose(), declared=True)
+    _check_ring(m)
+    _check_ring(m.transpose())
 
 
 @given(st.integers(0, 4), st.integers(0, 3), st.sampled_from(list(Trig)), st.integers(1, 6))
 @settings(deadline=None, max_examples=30)
 def test_ladder_wronskian_ring_is_its_scan(n, shift, kind, count):
-    _check_ring(ladder_wronskian(ChainSpec(n, shift, kind, count)), declared=False)
+    _check_ring(ladder_wronskian(ChainSpec(n, shift, kind, count)))
 
 
 def test_shift_products_scan_no_entry_and_a_rational_product_each_factor_once(monkeypatch):
@@ -676,14 +704,14 @@ def test_shift_products_scan_no_entry_and_a_rational_product_each_factor_once(mo
     assert _shift_stack.__wrapped__(12, 2)[1] == "ok"
     assert scanned == []
     rng = Random(23)
+    # the public constructor scans the rows it is given exactly once, and
+    # stores a's as numerators over row denominators there
     a, b = random_rational_matrix(rng, 5, mixed=True), random_int_matrix(rng, 5, 5)
-    # the rows as given; the scan of a's replaces them with numerators over denominators
-    given_rows = sorted({id(a._r), id(b._r)})
+    assert len(scanned) == 2 and a._den is not None and b._den is None
     product = a @ b
-    assert a._den is not None and b._den is None
-    for op in (lambda: a @ b, lambda: b @ a, lambda: a.transpose() @ b, a.determinant, a.rank, b.rank):
+    for op in (lambda: a @ b, lambda: b @ a, lambda: a.transpose() @ b, a.determinant, a.rank, b.rank,
+               lambda: a.row(0), lambda: a[1, 1], lambda: a == b, lambda: hash(a)):
         op()
-    assert sorted(scanned) == given_rows
     # a rational product is built over its row denominators and never scanned
     product.determinant()
     product.determinant()
@@ -699,7 +727,7 @@ def _int_rows(height: int, width: int):
        st.sampled_from([1, 2]), st.booleans())
 @settings(deadline=None, max_examples=100)
 def test_shift_rows_is_the_unit_lower_product(rows, offset, integral_fractions):
-    # integral Fractions make an int matrix at its scan
+    # integral Fractions make an int matrix when it is built
     m = ExactMatrix([list(map(Fraction, row)) for row in rows] if integral_fractions else rows)
     n = m.rows
     for start in range(offset, n + 1):
@@ -707,7 +735,7 @@ def test_shift_rows_is_the_unit_lower_product(rows, offset, integral_fractions):
         unit = ExactMatrix.unit_lower(n, offset, start)
         assert got == unit @ m == product_by_definition(unit, m), (offset, start)
         assert all(got._r[i] is m._r[i] for i in range(start))
-        _check_ring(got, declared=True)
+        _check_ring(got)
     assert [list(m.row(i)) for i in range(n)] == rows
 
 
@@ -758,13 +786,13 @@ FORMAT_SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 5))
 @settings(deadline=None, max_examples=150)
 def test_rational_rows_read_back_as_given(rows):
     m = ExactMatrix(rows)
-    ring = m._entry_ring()
+    ring = m._ring
     _check_storage(m)
     assert ring is (Fraction if any(Fraction(v).denominator != 1 for r in rows for v in r) else int)
     for i, given_row in enumerate(rows):
         assert m.row(i) == tuple(given_row)
         for j, v in enumerate(given_row):
-            # a fresh copy, not yet scanned, reads the same through either accessor
+            # a fresh copy reads the same through either accessor
             for got in (m[i, j], ExactMatrix(rows)[i, j], ExactMatrix(rows).row(i)[j]):
                 assert got == v and type(got) is (int if Fraction(v).denominator == 1 else Fraction)
     # rendered from the ints as the given entries render
@@ -780,10 +808,9 @@ def test_rational_rows_read_back_as_given(rows):
 @settings(deadline=None, max_examples=150)
 def test_equality_and_hash_agree_across_entry_types(rows, rng):
     stored = ExactMatrix(rows)
-    stored._entry_ring()
     variants = [
         stored,
-        ExactMatrix(rows),  # not yet scanned: the entries as given
+        ExactMatrix._over(stored._r, stored._den or [1] * stored.rows, stored.cols),  # from its numerators
         ExactMatrix([[Fraction(v) for v in r] for r in rows]),
         ExactMatrix([[TrigPoly.constant(v) for v in r] for r in rows]),
         ExactMatrix([[int(v) if Fraction(v).denominator == 1 else v for v in r] for r in rows]),
@@ -795,12 +822,10 @@ def test_equality_and_hash_agree_across_entry_types(rows, rng):
     changed = [list(r) for r in rows]
     changed[i][j] += Fraction(1, rng.choice((1, 2, 7)))
     other = ExactMatrix(changed)
-    other._entry_ring()
     for a in variants:
         assert a != other and other != a
     # the same numerators over other denominators are another matrix
     third = ExactMatrix([[Fraction(v) / 3 for v in r] for r in rows])
-    third._entry_ring()
     if any(v for r in rows for v in r):
         for a in variants:
             assert a != third and third != a
@@ -826,7 +851,7 @@ def test_rational_format_matches_oracles(factors):
     if square.rows % 2 == 0:
         blanked = ExactMatrix([[v if (i + j) % 2 == 0 else 0 for j, v in enumerate(r)]
                                for i, r in enumerate(factors[2])])
-        whole = blanked.determinant()  # stores the rows as numerators first
+        whole = blanked.determinant()
         odd, even = blanked.interleave_split()
         _check_storage(odd)
         _check_storage(even)
@@ -840,12 +865,10 @@ def test_float_and_bool_entries_raise_among_rationals(rows, bad, rng):
     rows = [list(r) for r in rows]
     i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
     rows[i][j] = bad
-    m = ExactMatrix(rows)
-    square = ExactMatrix([[1] * len(rows)] * len(rows))
-    for op in (m.determinant, m.rank, lambda: square @ m, lambda: m.transpose() @ square,
-               lambda: ExactMatrix(rows)[i, j]):
+    # at construction, wherever the entry sits and whatever the others are
+    for given in (rows, list(zip(*rows))):
         with pytest.raises(TypeError, match=f"must be int, Fraction or TrigPoly, not {type(bad).__name__}"):
-            op()
+            ExactMatrix(given)
 
 
 # Nonzero slopes and any offsets, int or rational, negative included.

@@ -177,6 +177,17 @@ def test_det_identity_validates_the_spec_before_its_closed_form(spec, message):
         det_identity(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    MatrixSpec(MatrixKind.BINOM_AFFINE, n=3, a=1.5, b=0),
+    MatrixSpec(MatrixKind.BINOM_AFFINE, n=3, a=1, b=0.5),
+    MatrixSpec(MatrixKind.BINOM_NODES, nodes=(Fraction(1, 2), 2.5, 3)),
+], ids=["affine-a", "affine-b", "nodes"])
+def test_float_binomial_inputs_raise_a_type_error_naming_float(spec):
+    for op in (build, det_identity):
+        with pytest.raises(TypeError, match="must be int or Fraction, not float"):
+            op(spec)
+
+
 def test_det_closed_form_undefined_for_unit_kinds():
     with pytest.raises(ValueError):
         det_closed_form(MatrixSpec(MatrixKind.PASCAL, n=3))
