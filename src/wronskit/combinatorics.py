@@ -3,7 +3,8 @@
 Falling factorials, binomial coefficients with arbitrary rational upper
 argument (one at a time, or for int upper arguments a whole column
 C(x, 0..size-1) or whole rows C(x_j, i) as running products), and the two
-binomial-sum identity checkers used by the determinant verifiers.
+binomial-sum identity checkers used by the determinant verifiers, which
+keep their j-free weights per n in a bounded cache.
 All arithmetic is over int / fractions.Fraction; nothing here rounds.
 """
 
@@ -13,6 +14,7 @@ import math
 import time
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from operator import floordiv, mul, sub
 
@@ -100,29 +102,68 @@ def binomial_rows(nums: Sequence[int], count: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
+# The most n whose binomial-sum weights stay cached, per sum.  A sweep
+# over j at one n reuses one entry; the bound keeps a sweep over many n
+# from holding every weight tuple it ever built.
+SUM_WEIGHTS_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=SUM_WEIGHTS_CACHE_SIZE)
+def _odd_sum_weights(n: int) -> tuple[int, ...]:
+    """The j-free factors (-1)^(n-k) 2^(k-1) C(2n-k-1, n-1) of the odd
+    binomial sum's numerator, for k = 1..n, term by term."""
+    out = []
+    for k in range(1, n + 1):
+        term = 2 ** (k - 1) * binomial(2 * n - k - 1, n - 1)
+        out.append(-term if (n - k) % 2 else term)
+    return tuple(out)
+
+
+@lru_cache(maxsize=SUM_WEIGHTS_CACHE_SIZE)
+def _even_sum_weights(n: int) -> tuple[int, ...]:
+    """The j-free factors (-1)^(n-k) 2^(k-1) sum_{v=0}^{floor((n-k)/2)}
+    C(2n-k+1, n+1+2v) of the even binomial sum's numerator, for k = 1..n,
+    term by term."""
+    out = []
+    for k in range(1, n + 1):
+        inner = 0
+        for v in range((n - k) // 2 + 1):
+            inner += binomial(2 * n - k + 1, n + 1 + 2 * v)
+        term = 2 ** (k - 1) * inner
+        out.append(-term if (n - k) % 2 else term)
+    return tuple(out)
+
+
+def _binomial_sum_report(check: str, weights: tuple[int, ...], top: int, n: int, j: int,
+                         started: float, note: str = "") -> VerificationReport:
+    """Close a binomial-sum check: the weights against the column
+    C(top, 0..n-1), one dot product over 2^(n-1), against the closed form
+    2^(n-1) C(j-1, n-1)."""
+    lhs = Fraction(sum(map(mul, weights, binomial_column(top, n))), 2 ** (n - 1))
+    rhs = 2 ** (n - 1) * binomial(j - 1, n - 1)
+    return finish_report(check, {"n": n, "j": j}, rhs, lhs, started, note)
+
+
 def check_odd_binomial_sum(n: int, j: int) -> VerificationReport:
     """Check sum_{k=1}^{n} (-1/2)^(n-k) C(2j-1, k-1) C(2n-k-1, n-1)
     against the closed form 2^(n-1) C(j-1, n-1), both sides exact.
 
-    The sum runs on ints as 2^(1-n) sum (-1)^(n-k) 2^(k-1) C(..) C(..),
-    with one division at the end."""
+    The sum runs on ints as 2^(1-n) sum_k w_k C(2j-1, k-1), with the
+    j-free weights w_k of ``_odd_sum_weights`` (built once per n) and the
+    column C(2j-1, 0..n-1) as one running product: O(n) big-int products
+    per check once its n is cached."""
     started = time.perf_counter()
     if n < 1 or j < 1:
         raise ValueError("check needs n >= 1 and j >= 1")
-    total = 0
-    for k in range(1, n + 1):
-        term = 2 ** (k - 1) * binomial(2 * j - 1, k - 1) * binomial(2 * n - k - 1, n - 1)
-        total += -term if (n - k) % 2 else term
-    lhs = Fraction(total, 2 ** (n - 1))
-    rhs = 2 ** (n - 1) * binomial(j - 1, n - 1)
-    return finish_report("odd-binomial-sum", {"n": n, "j": j}, rhs, lhs, started)
+    return _binomial_sum_report("odd-binomial-sum", _odd_sum_weights(n), 2 * j - 1, n, j, started)
 
 
 def check_even_binomial_sum(n: int, j: int) -> VerificationReport:
     """Check the conjectural even-column analogue:
     sum_{k=1}^{n} (-1/2)^(n-k) C(2j, k-1) sum_{v=0}^{floor((n-k)/2)} C(2n-k+1, n+1+2v)
-    against 2^(n-1) C(j-1, n-1).  As in the odd sum, the integer numerators
-    over 2^(n-1) are added up and divided once.
+    against 2^(n-1) C(j-1, n-1).  As in the odd sum, the j-free weights of
+    ``_even_sum_weights`` meet the column C(2j, 0..n-1) in one integer dot
+    product over 2^(n-1).
 
     No general proof is known for this sum; each report records a single
     exact instance and says so in its note.
@@ -130,16 +171,5 @@ def check_even_binomial_sum(n: int, j: int) -> VerificationReport:
     started = time.perf_counter()
     if n < 1 or j < 1:
         raise ValueError("check needs n >= 1 and j >= 1")
-    total = 0
-    for k in range(1, n + 1):
-        inner = 0
-        for v in range((n - k) // 2 + 1):
-            inner += binomial(2 * n - k + 1, n + 1 + 2 * v)
-        term = 2 ** (k - 1) * binomial(2 * j, k - 1) * inner
-        total += -term if (n - k) % 2 else term
-    lhs = Fraction(total, 2 ** (n - 1))
-    rhs = 2 ** (n - 1) * binomial(j - 1, n - 1)
-    return finish_report(
-        "even-binomial-sum", {"n": n, "j": j}, rhs, lhs, started,
-        note="empirical instance; the general statement is unproved",
-    )
+    return _binomial_sum_report("even-binomial-sum", _even_sum_weights(n), 2 * j, n, j, started,
+                                "empirical instance; the general statement is unproved")

@@ -79,14 +79,7 @@ class VerificationReport(FrozenRecord):
 def finish_report(check: str, params: dict[str, object], expected: object, computed: object,
                   started: float, note: str = "") -> VerificationReport:
     """Close a timed check; pass iff the two values render identically."""
-    expected_s = str(expected)
-    computed_s = str(computed)
-    return VerificationReport(
-        check=check,
-        params=dict(params),
-        expected=expected_s,
-        computed=computed_s,
-        passed=expected_s == computed_s,
-        millis=(time.perf_counter() - started) * 1000.0,
-        note=note,
-    )
+    expected = str(expected)
+    computed = str(computed)
+    return VerificationReport(check, dict(params), expected, computed, expected == computed,
+                              (time.perf_counter() - started) * 1000.0, note)

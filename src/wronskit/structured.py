@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mul, sub
 
-from .combinatorics import Rat, binomial_column, binomial_rows, common_denominator
+from .combinatorics import Rat, _rational, binomial_column, binomial_rows, common_denominator
 from .matrix import ExactMatrix, first_difference
 from .report import FrozenRecord, VerificationReport, finish_report
 
@@ -76,69 +76,101 @@ def double_shift_matrix(n: int, k: int) -> ExactMatrix:
     return ExactMatrix.unit_lower(n, 2, 2 * k)
 
 
-# the MatrixSpec fields besides ``kind`` that each kind reads (the others
-# read n); a field is given when it is not None, and n when it is not 0
-_READS = {
-    MatrixKind.ROW_SHIFT: ("n", "k"),
-    MatrixKind.DOUBLE_SHIFT: ("n", "k"),
-    MatrixKind.BINOM_AFFINE: ("n", "a", "b"),
-    MatrixKind.BINOM_NODES: ("nodes",),
+def _row_shift(spec: MatrixSpec) -> ExactMatrix:
+    if spec.k is None:
+        raise ValueError("row-shift needs k")
+    return row_shift_matrix(spec.n, spec.k)
+
+
+def _double_shift(spec: MatrixSpec) -> ExactMatrix:
+    if spec.k is None:
+        raise ValueError("double-shift needs k")
+    return double_shift_matrix(spec.n, spec.k)
+
+
+def _lower_halving(spec: MatrixSpec) -> ExactMatrix:
+    n = spec.n
+    _need_size(n)
+    # (-1/2)^d C(i-1+d, d) = C(-i, d) / 2^d at d = i - j, read right to
+    # left: row i holds the numerators C(-i, d) 2^(i-1-d) over 2^(i-1)
+    rows = ([c << (i - 1 - d) for d, c in enumerate(binomial_column(-i, i))][::-1] + [0] * (n - i)
+            for i in range(1, n + 1))
+    return ExactMatrix._over(rows, (1 << i for i in range(n)), n)
+
+
+def _scaled_pascal(spec: MatrixSpec) -> ExactMatrix:
+    n = spec.n
+    _need_size(n)
+    # row i is 2^i times column i of the Pascal rows (0-indexed)
+    pascal = [binomial_column(j, n) for j in range(n)]
+    rows = tuple(tuple([c << i for c in col]) for i, col in enumerate(zip(*pascal)))
+    return ExactMatrix._of(rows, n, int)
+
+
+def _bidiagonal(spec: MatrixSpec) -> ExactMatrix:
+    _need_size(spec.n)
+    return ExactMatrix.unit_lower(spec.n, 1, 1)
+
+
+def _pascal(spec: MatrixSpec) -> ExactMatrix:
+    n = spec.n
+    _need_size(n)
+    return ExactMatrix._of(tuple(tuple(binomial_column(i, n)) for i in range(n)), n, int)
+
+
+def _binom_odd(spec: MatrixSpec) -> ExactMatrix:
+    _need_size(spec.n)
+    return _binomial_nodes_matrix(range(1, 2 * spec.n + 2, 2), 1)
+
+
+def _binom_even(spec: MatrixSpec) -> ExactMatrix:
+    _need_size(spec.n)
+    return _binomial_nodes_matrix(range(2, 2 * spec.n + 3, 2), 1)
+
+
+def _binom_affine(spec: MatrixSpec) -> ExactMatrix:
+    _need_size(spec.n)
+    if spec.a is None or spec.b is None:
+        raise ValueError("binom-affine needs a and b")
+    (a, b), common = common_denominator((spec.a, spec.b))
+    return _binomial_nodes_matrix([a * j + b for j in range(1, spec.n + 1)], common)
+
+
+def _binom_nodes(spec: MatrixSpec) -> ExactMatrix:
+    if not spec.nodes:
+        raise ValueError("binom-nodes needs a nonempty node tuple")
+    return _binomial_nodes_matrix(*common_denominator(spec.nodes))
+
+
+# per kind, the MatrixSpec fields besides ``kind`` that it reads and its
+# builder; a field is given when it is not None, and n when it is not 0
+_BUILDERS = {
+    MatrixKind.ROW_SHIFT: (("n", "k"), _row_shift),
+    MatrixKind.DOUBLE_SHIFT: (("n", "k"), _double_shift),
+    MatrixKind.LOWER_HALVING: (("n",), _lower_halving),
+    MatrixKind.SCALED_PASCAL: (("n",), _scaled_pascal),
+    MatrixKind.BIDIAGONAL: (("n",), _bidiagonal),
+    MatrixKind.PASCAL: (("n",), _pascal),
+    MatrixKind.BINOM_ODD: (("n",), _binom_odd),
+    MatrixKind.BINOM_EVEN: (("n",), _binom_even),
+    MatrixKind.BINOM_AFFINE: (("n", "a", "b"), _binom_affine),
+    MatrixKind.BINOM_NODES: (("nodes",), _binom_nodes),
 }
 
 
 def build(spec: MatrixSpec) -> ExactMatrix:
     kind = spec.kind
-    reads = _READS.get(kind, ("n",))
-    given = {"n": spec.n or None, "k": spec.k, "a": spec.a, "b": spec.b, "nodes": spec.nodes}
-    unread = [name for name, value in given.items() if value is not None and name not in reads]
+    entry = _BUILDERS.get(kind)
+    if entry is None:
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    reads, builder = entry
+    unread = [name for name in ("k", "a", "b", "nodes")
+              if getattr(spec, name) is not None and name not in reads]
+    if spec.n and "n" not in reads:
+        unread.insert(0, "n")
     if unread:
         raise ValueError(f"{kind.value} does not take {', '.join(unread)}")
-    if kind is MatrixKind.ROW_SHIFT:
-        if spec.k is None:
-            raise ValueError("row-shift needs k")
-        return row_shift_matrix(spec.n, spec.k)
-    if kind is MatrixKind.DOUBLE_SHIFT:
-        if spec.k is None:
-            raise ValueError("double-shift needs k")
-        return double_shift_matrix(spec.n, spec.k)
-    if kind is MatrixKind.LOWER_HALVING:
-        n = spec.n
-        _need_size(n)
-        # (-1/2)^d C(i-1+d, d) = C(-i, d) / 2^d at d = i - j, read right to
-        # left: row i holds the numerators C(-i, d) 2^(i-1-d) over 2^(i-1)
-        rows = ([c << (i - 1 - d) for d, c in enumerate(binomial_column(-i, i))][::-1] + [0] * (n - i)
-                for i in range(1, n + 1))
-        return ExactMatrix._over(rows, (1 << i for i in range(n)), n)
-    if kind is MatrixKind.SCALED_PASCAL:
-        _need_size(spec.n)
-        # row i is 2^i times column i of the Pascal rows (0-indexed)
-        pascal = [binomial_column(j, spec.n) for j in range(spec.n)]
-        rows = tuple(tuple([c << i for c in col]) for i, col in enumerate(zip(*pascal)))
-        return ExactMatrix._of(rows, spec.n, int)
-    if kind is MatrixKind.BIDIAGONAL:
-        _need_size(spec.n)
-        return ExactMatrix.unit_lower(spec.n, 1, 1)
-    if kind is MatrixKind.PASCAL:
-        _need_size(spec.n)
-        rows = tuple(tuple(binomial_column(i, spec.n)) for i in range(spec.n))
-        return ExactMatrix._of(rows, spec.n, int)
-    if kind is MatrixKind.BINOM_ODD:
-        _need_size(spec.n)
-        return _binomial_nodes_matrix(range(1, 2 * spec.n + 2, 2), 1)
-    if kind is MatrixKind.BINOM_EVEN:
-        _need_size(spec.n)
-        return _binomial_nodes_matrix(range(2, 2 * spec.n + 3, 2), 1)
-    if kind is MatrixKind.BINOM_AFFINE:
-        _need_size(spec.n)
-        if spec.a is None or spec.b is None:
-            raise ValueError("binom-affine needs a and b")
-        (a, b), common = common_denominator((spec.a, spec.b))
-        return _binomial_nodes_matrix([a * j + b for j in range(1, spec.n + 1)], common)
-    if kind is MatrixKind.BINOM_NODES:
-        if not spec.nodes:
-            raise ValueError("binom-nodes needs a nonempty node tuple")
-        return _binomial_nodes_matrix(*common_denominator(spec.nodes))
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    return builder(spec)
 
 
 def _binomial_nodes_matrix(nums: list[int], common: int) -> ExactMatrix:
@@ -173,14 +205,18 @@ def det_closed_form(spec: MatrixSpec) -> Rat:
     """Exact closed form for the determinant of the binomial kinds.
 
     binom-odd and binom-even: 2^C(n+1, 2).
-    binom-affine: a^C(n, 2), independent of b.
+    binom-affine: a^C(n, 2), independent of b, raised on the int or
+    Fraction a itself (an int-valued Fraction as its int, as ``binomial``
+    takes it); TypeError, as from ``build``, for an a or b that is neither.
     binom-nodes: prod_{i<j} (x_j - x_i) / (1! 2! ... (size-1)!).
     """
     kind = spec.kind
     if kind in (MatrixKind.BINOM_ODD, MatrixKind.BINOM_EVEN):
         return 2 ** math.comb(spec.n + 1, 2)
     if kind is MatrixKind.BINOM_AFFINE:
-        return Fraction(spec.a) ** math.comb(spec.n, 2)
+        _rational(spec.b)
+        a = _rational(spec.a)
+        return (a.numerator if a.denominator == 1 else a) ** math.comb(spec.n, 2)
     if kind is MatrixKind.BINOM_NODES:
         # every node as an int over one common denominator: each difference
         # x_j - x_i is (ints[j] - ints[i]) / common
@@ -214,11 +250,11 @@ def _spec_params(spec: MatrixSpec) -> dict:
 
 def det_identity(spec: MatrixSpec) -> VerificationReport:
     """Compare the computed determinant of a binomial-kind matrix with its
-    closed form, both exact."""
+    closed form, both exact; each is an int or a Fraction, and an int-valued
+    Fraction renders as its int does."""
     started = time.perf_counter()
     computed = build(spec).determinant()
-    expected = det_closed_form(spec)
-    return finish_report("det-closed-form", _spec_params(spec), Fraction(expected), Fraction(computed), started)
+    return finish_report("det-closed-form", _spec_params(spec), det_closed_form(spec), computed, started)
 
 
 def pascal_product(n: int) -> ExactMatrix:

@@ -5,8 +5,10 @@ is built by one call of an entry function per entry, the determinant is a
 plain permutation sum, the rank a row echelon form by Fraction division,
 the matrix product a plain triple sum over every entry, zero or not (a
 conjugation S M S^T is two of them), the binomial sums add Fraction terms
-with math.comb, x^n sin x and x^n cos x are written as literal terms, and
-derivatives are cross-checked by floating central differences.
+with math.comb or, by definition term by term, integer numerators over
+2^(n-1) with every factor rebuilt for each (n, j), x^n sin x and x^n cos x
+are written as literal terms, and derivatives are cross-checked by floating
+central differences.
 """
 
 from __future__ import annotations
@@ -177,3 +179,27 @@ def even_binomial_sum_by_fractions(n: int, j: int) -> Fraction:
         inner = sum(math.comb(2 * n - k + 1, n + 1 + 2 * v) for v in range((n - k) // 2 + 1))
         total += Fraction(-1, 2) ** (n - k) * math.comb(2 * j, k - 1) * inner
     return total
+
+
+def odd_binomial_sum_term_by_term(n: int, j: int) -> Fraction:
+    """The odd sum as integer numerators over 2^(n-1), every term built
+    afresh for every (n, j): sum_k (-1)^(n-k) 2^(k-1) C(2j-1, k-1)
+    C(2n-k-1, n-1), divided once."""
+    total = 0
+    for k in range(1, n + 1):
+        term = 2 ** (k - 1) * math.comb(2 * j - 1, k - 1) * math.comb(2 * n - k - 1, n - 1)
+        total += -term if (n - k) % 2 else term
+    return Fraction(total, 2 ** (n - 1))
+
+
+def even_binomial_sum_term_by_term(n: int, j: int) -> Fraction:
+    """The even sum as integer numerators over 2^(n-1), the inner sum over
+    v recomputed for every (n, j, k), divided once."""
+    total = 0
+    for k in range(1, n + 1):
+        inner = 0
+        for v in range((n - k) // 2 + 1):
+            inner += math.comb(2 * n - k + 1, n + 1 + 2 * v)
+        term = 2 ** (k - 1) * math.comb(2 * j, k - 1) * inner
+        total += -term if (n - k) % 2 else term
+    return Fraction(total, 2 ** (n - 1))

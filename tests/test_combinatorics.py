@@ -10,8 +10,14 @@ from wronskit import (
     check_odd_binomial_sum,
     falling_factorial,
 )
-from wronskit.combinatorics import binomial_column, common_denominator
-from oracles import even_binomial_sum_by_fractions, odd_binomial_sum_by_fractions
+from wronskit import combinatorics
+from wronskit.combinatorics import SUM_WEIGHTS_CACHE_SIZE, binomial_column, common_denominator
+from oracles import (
+    even_binomial_sum_by_fractions,
+    even_binomial_sum_term_by_term,
+    odd_binomial_sum_by_fractions,
+    odd_binomial_sum_term_by_term,
+)
 
 rationals = st.fractions(max_denominator=8).filter(lambda f: abs(f) <= 20)
 
@@ -124,6 +130,46 @@ def test_binomial_sums_match_fraction_oracles():
         for j in range(1, 17):
             assert check_odd_binomial_sum(n, j).computed == str(odd_binomial_sum_by_fractions(n, j))
             assert check_even_binomial_sum(n, j).computed == str(even_binomial_sum_by_fractions(n, j))
+
+
+def _closed_form(n, j):
+    return str(2 ** (n - 1) * math.comb(j - 1, n - 1))
+
+
+def _assert_sums_match_term_by_term(n, j):
+    odd = check_odd_binomial_sum(n, j)
+    assert odd.computed == str(odd_binomial_sum_term_by_term(n, j)), (n, j)
+    assert odd.expected == _closed_form(n, j) and odd.passed, (n, j)
+    even = check_even_binomial_sum(n, j)
+    assert even.computed == str(even_binomial_sum_term_by_term(n, j)), (n, j)
+    assert even.expected == _closed_form(n, j) and even.passed, (n, j)
+
+
+def test_binomial_sums_match_the_term_by_term_reference():
+    # cached per-n weights against every term rebuilt per (n, j); j < n,
+    # where the closed form is 0, included
+    for n in range(1, 31):
+        for j in range(1, 41):
+            _assert_sums_match_term_by_term(n, j)
+
+
+@given(st.integers(1, 80), st.integers(1, 120))
+@example(80, 1)
+@example(80, 79)
+@example(80, 80)
+def test_binomial_sums_match_the_term_by_term_reference_up_to_n_80(n, j):
+    _assert_sums_match_term_by_term(n, j)
+
+
+def test_binomial_sum_weight_caches_keep_their_bound():
+    caches = (combinatorics._odd_sum_weights, combinatorics._even_sum_weights)
+    for cache in caches:
+        assert cache.cache_info().maxsize == SUM_WEIGHTS_CACHE_SIZE
+    for n in range(1, 3 * SUM_WEIGHTS_CACHE_SIZE + 1):
+        assert check_odd_binomial_sum(n, n).computed == str(2 ** (n - 1))
+        assert check_even_binomial_sum(n, n + 1).computed == str(2 ** (n - 1) * n)
+    for cache in caches:
+        assert cache.cache_info().currsize <= SUM_WEIGHTS_CACHE_SIZE
 
 
 def test_even_binomial_sum_instances():

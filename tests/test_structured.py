@@ -183,9 +183,48 @@ def test_det_identity_validates_the_spec_before_its_closed_form(spec, message):
     MatrixSpec(MatrixKind.BINOM_NODES, nodes=(Fraction(1, 2), 2.5, 3)),
 ], ids=["affine-a", "affine-b", "nodes"])
 def test_float_binomial_inputs_raise_a_type_error_naming_float(spec):
-    for op in (build, det_identity):
+    for op in (build, det_closed_form, det_identity):
         with pytest.raises(TypeError, match="must be int or Fraction, not float"):
             op(spec)
+
+
+@pytest.mark.parametrize("bad", ["3", complex(2, 0)], ids=repr)
+def test_det_closed_form_refuses_an_affine_a_or_b_that_is_not_rational(bad):
+    name = type(bad).__name__
+    for spec in (MatrixSpec(MatrixKind.BINOM_AFFINE, n=3, a=bad, b=0),
+                 MatrixSpec(MatrixKind.BINOM_AFFINE, n=3, a=2, b=bad)):
+        for op in (build, det_closed_form):
+            with pytest.raises(TypeError, match=f"must be int or Fraction, not {name}$"):
+                op(spec)
+
+
+# (params, expected, computed) of det_identity, as rendered before the
+# closed form and the determinant reached the report without Fraction round trips
+@pytest.mark.parametrize("spec, params, rendered", [
+    (MatrixSpec(MatrixKind.BINOM_AFFINE, n=3, a=Fraction(2), b=0),
+     {"kind": "binom-affine", "n": 3, "a": "2", "b": "0"}, "8"),
+    (MatrixSpec(MatrixKind.BINOM_AFFINE, n=3, a=Fraction(-2), b=1),
+     {"kind": "binom-affine", "n": 3, "a": "-2", "b": "1"}, "-8"),
+    (MatrixSpec(MatrixKind.BINOM_AFFINE, n=2, a=3, b=1),
+     {"kind": "binom-affine", "n": 2, "a": "3", "b": "1"}, "3"),
+    (MatrixSpec(MatrixKind.BINOM_AFFINE, n=3, a=Fraction(1, 2), b=1),
+     {"kind": "binom-affine", "n": 3, "a": "1/2", "b": "1"}, "1/8"),
+    (MatrixSpec(MatrixKind.BINOM_AFFINE, n=4, a=Fraction(-1, 2), b=Fraction(1, 3)),
+     {"kind": "binom-affine", "n": 4, "a": "-1/2", "b": "1/3"}, "1/64"),
+    (MatrixSpec(MatrixKind.BINOM_NODES, nodes=(2, 2, 6)),
+     {"kind": "binom-nodes", "nodes": "2,2,6"}, "0"),
+    (MatrixSpec(MatrixKind.BINOM_NODES, nodes=(Fraction(1, 2), 2, Fraction(7, 3), 4)),
+     {"kind": "binom-nodes", "nodes": "1/2,2,7/3,4"}, "385/432"),
+    (MatrixSpec(MatrixKind.BINOM_ODD, n=3), {"kind": "binom-odd", "n": 3}, "64"),
+    (MatrixSpec(MatrixKind.BINOM_EVEN, n=4), {"kind": "binom-even", "n": 4}, "1024"),
+], ids=["affine-int-valued-fraction", "affine-negative", "affine-int", "affine-half",
+        "affine-rational", "nodes-repeated", "nodes-rational", "odd", "even"])
+def test_det_identity_renders_as_before(spec, params, rendered):
+    rep = det_identity(spec)
+    assert (rep.check, rep.params, rep.expected, rep.computed, rep.passed, rep.note) == (
+        "det-closed-form", params, rendered, rendered, True, "")
+    assert rep.line() == (f"det-closed-form [{', '.join(f'{k}={v}' for k, v in params.items())}]: "
+                          f"expected {rendered}, computed {rendered} -> pass")
 
 
 def test_det_closed_form_undefined_for_unit_kinds():
