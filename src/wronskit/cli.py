@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from collections.abc import Callable
@@ -61,8 +62,9 @@ NODE_TUPLES = (
 )
 
 
-# Converters from a config-file value or a flag value to a setting.
-# List settings take a JSON list or a comma string, the form the flags take.
+# Converters from a flag's text or a config-file value to a setting; each
+# also checks the value.  List settings take a JSON list or a comma string,
+# the form the flags take; an int setting takes an int or its decimal text.
 
 def _parts(value) -> list:
     if isinstance(value, str):
@@ -78,52 +80,65 @@ def _parts(value) -> list:
     return out
 
 
+def _each(convert: Callable) -> Callable[[object], tuple]:
+    """A list converter: every item through convert, repeats dropped in
+    order, at least one item."""
+    def convert_all(value) -> tuple:
+        items = tuple(dict.fromkeys(map(convert, _parts(value))))
+        if not items:
+            raise ValueError(f"expected at least one value, got {value!r}")
+        return items
+    return convert_all
+
+
+def _one_of(*allowed: str) -> Callable[[object], str]:
+    def convert(value) -> str:
+        if value not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {value!r}")
+        return value
+    return convert
+
+
+def _integer(low: int) -> Callable[[object], int]:
+    def convert(value) -> int:
+        number = value
+        if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
+            number = int(value)
+        if isinstance(number, bool) or not isinstance(number, int) or number < low:
+            raise ValueError(f"expected an integer >= {low}, got {value!r}")
+        return number
+    return convert
+
+
 def _text(value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"expected a string, got {value!r}")
     return value
 
 
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _suites(value) -> tuple[str, ...]:
-    names = tuple(dict.fromkeys(map(_text, _parts(value))))
+    names = _each(_one_of("all", *SUITES))(value)
     return SUITES if "all" in names else names
 
 
-def _shifts(value) -> tuple[int, ...]:
-    return tuple(dict.fromkeys(int(s) if isinstance(s, str) else _integer(s) for s in _parts(value)))
-
-
 def _kinds(value) -> tuple[Trig, ...]:
-    return tuple(dict.fromkeys(map(Trig, _parts(value))))
+    return tuple(map(Trig, _each(_one_of("sin", "cos"))(value)))
 
 
-# setting name -> (default, converter); a SuiteConfig has these fields in this
-# order, the config file takes these keys and each flag sets the one it names
-SETTINGS: dict[str, tuple[object, Callable]] = {
-    "suites": (SUITES, _suites),
-    "max_n": (3, _integer),
-    "max_j": (None, _integer),
-    "shifts": ((0, 1, 2), _shifts),
-    "kinds": ((Trig.SIN, Trig.COS), _kinds),
-    "fmt": ("json", _text),
-    "output": (None, _text),
+# setting name -> (flag, default as the flag's text or None, help, converter):
+# the one definition of a verify setting.  A SuiteConfig has these fields in
+# this order, the config file takes these keys, and flag text and config
+# values both go through the converter.
+SETTINGS: dict[str, tuple[str, str | None, str, Callable]] = {
+    "suites": ("--suite", "all", "suite name or comma list; repeatable; 'all' selects every suite", _suites),
+    "max_n": ("--max-n", "3", "largest family parameter n", _integer(1)),
+    "max_j": ("--max-j", None, "largest column index for the identity sweeps (default: max-n)", _integer(1)),
+    "shifts": ("--shifts", "0,1,2", "comma list of derivative shifts for the wronskian suite",
+               _each(_integer(0))),
+    "kinds": ("--kinds", "sin,cos", "comma list of sin and cos", _kinds),
+    "fmt": ("--format", "json", "report format, json or markdown", _one_of("json", "markdown")),
+    "output": ("--output", None, "write the report here instead of stdout", _text),
 }
-
-
-def _shown(name: str) -> str:
-    """A setting's default as its flag spells it."""
-    default = SETTINGS[name][0]
-    if default == SUITES:
-        return "all"
-    if isinstance(default, tuple):
-        return ",".join(str(getattr(item, "value", item)) for item in default)
-    return str(default)
 
 
 class SuiteConfig(Record):
@@ -140,25 +155,10 @@ class SuiteConfig(Record):
             if name not in SETTINGS or name in given:
                 raise TypeError(f"SuiteConfig got an unknown or repeated setting {name!r}")
             given[name] = value
-        for name, (default, _) in SETTINGS.items():
-            setattr(self, name, given.get(name, default))
-
-    def validate(self) -> None:
-        bad = [s for s in self.suites if s not in SUITES]
-        if bad:
-            raise ValueError(f"unknown suite(s): {', '.join(bad)}; valid: {', '.join(SUITES)}")
-        if not self.suites:
-            raise ValueError("at least one suite is required")
-        if self.max_n < 1:
-            raise ValueError("max-n must be >= 1")
-        if self.max_j is not None and self.max_j < 1:
-            raise ValueError("max-j must be >= 1")
-        if any(s < 0 for s in self.shifts) or not self.shifts:
-            raise ValueError("shifts must be a nonempty list of integers >= 0")
-        if not self.kinds:
-            raise ValueError("kinds must be nonempty")
-        if self.fmt not in ("json", "markdown"):
-            raise ValueError("format must be json or markdown")
+        for name, (_, default, _, convert) in SETTINGS.items():
+            if name not in given:
+                given[name] = None if default is None else convert(default)
+            setattr(self, name, given[name])
 
 
 # (suite, checker, arguments): the check is checker(*arguments)
@@ -272,24 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run suites of checks and emit a report")
-    verify.add_argument("--suite", dest="suites", action="append", default=None,
-                        help="suite name or comma list; repeatable; 'all' selects every suite "
-                             f"(default: {_shown('suites')})")
-    verify.add_argument("--max-n", type=int, default=None,
-                        help=f"largest family parameter n (default: {_shown('max_n')})")
-    verify.add_argument("--max-j", type=int, default=None,
-                        help="largest column index for the identity sweeps (default: max-n)")
-    verify.add_argument("--shifts", default=None,
-                        help="comma list of derivative shifts for the wronskian suite "
-                             f"(default: {_shown('shifts')})")
-    verify.add_argument("--kinds", default=None,
-                        help=f"comma list of sin and cos (default: {_shown('kinds')})")
-    verify.add_argument("--format", dest="fmt", choices=("json", "markdown"), default=None,
-                        help=f"report format (default: {_shown('fmt')})")
-    verify.add_argument("--output", default=None, help="write the report here instead of stdout")
+    verify.set_defaults(run=_cmd_verify)
+    for name, (flag, default, text, _) in SETTINGS.items():
+        verify.add_argument(flag, dest=name, action="append" if name == "suites" else "store",
+                            help=text if default is None else f"{text} (default: {default})")
     verify.add_argument("--config", default=None, help="JSON config file; flags override it")
 
     matrix = sub.add_parser("matrix", help="print one structured matrix")
+    matrix.set_defaults(run=_cmd_matrix)
     matrix.add_argument("--kind", required=True, choices=[k.value for k in MatrixKind])
     matrix.add_argument("--n", type=int, default=0, help="size / family parameter")
     matrix.add_argument("--k", type=int, default=None, help="shift cutoff for the shift kinds")
@@ -299,14 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--json", action="store_true", help="emit JSON instead of aligned text")
 
     wronskian = sub.add_parser("wronskian", help="symbolic Wronskian of a derivative chain")
+    wronskian.set_defaults(run=_cmd_wronskian)
     wronskian.add_argument("--n", type=int, required=True, help="f = x^n sin x or x^n cos x")
     wronskian.add_argument("--shift", type=int, default=0, help="first derivative order in the chain")
     wronskian.add_argument("--kind", choices=("sin", "cos"), default="sin")
     wronskian.add_argument("--count", type=int, default=None,
                            help="chain length (default 2n+2, the independence threshold)")
-    wronskian.add_argument("--print-matrix", action="store_true")
+    wronskian.add_argument("--print-matrix", action="store_true",
+                           help="print the chain's Hankel matrix W before the determinant")
 
     identity = sub.add_parser("identity", help="check one binomial-sum identity instance")
+    identity.set_defaults(run=_cmd_identity)
     identity.add_argument("--which", choices=("odd", "even"), required=True,
                           help="odd: proved row sum; even: unproved analogue")
     identity.add_argument("--n", type=int, required=True)
@@ -327,7 +320,7 @@ def _load_config(args: argparse.Namespace) -> SuiteConfig:
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     values = {}
-    for name, (_, convert) in SETTINGS.items():
+    for name, (*_, convert) in SETTINGS.items():
         for given in (raw.get(name), getattr(args, name)):
             if given is None:
                 continue
@@ -335,9 +328,7 @@ def _load_config(args: argparse.Namespace) -> SuiteConfig:
                 values[name] = convert(given)
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
-    config = SuiteConfig(**values)
-    config.validate()
-    return config
+    return SuiteConfig(**values)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -419,13 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "matrix":
-            return _cmd_matrix(args)
-        if args.command == "wronskian":
-            return _cmd_wronskian(args)
-        return _cmd_identity(args)
+        return args.run(args)
     except ValueError as exc:  # an int past the process's own limit, which wronskit never changes
         if "integer string conversion" not in str(exc):
             raise

@@ -102,36 +102,29 @@ def binomial_rows(nums: Sequence[int], count: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-# The most n whose binomial-sum weights stay cached, per sum.  A sweep
-# over j at one n reuses one entry; the bound keeps a sweep over many n
+# The most n whose binomial-sum weights, both sums' at once, stay cached.
+# A sweep over j at one n reuses one entry; the bound keeps a sweep over many n
 # from holding every weight tuple it ever built.
 SUM_WEIGHTS_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=SUM_WEIGHTS_CACHE_SIZE)
-def _odd_sum_weights(n: int) -> tuple[int, ...]:
-    """The j-free factors (-1)^(n-k) 2^(k-1) C(2n-k-1, n-1) of the odd
-    binomial sum's numerator, for k = 1..n, term by term."""
-    out = []
-    for k in range(1, n + 1):
-        term = 2 ** (k - 1) * binomial(2 * n - k - 1, n - 1)
-        out.append(-term if (n - k) % 2 else term)
-    return tuple(out)
-
-
-@lru_cache(maxsize=SUM_WEIGHTS_CACHE_SIZE)
-def _even_sum_weights(n: int) -> tuple[int, ...]:
-    """The j-free factors (-1)^(n-k) 2^(k-1) sum_{v=0}^{floor((n-k)/2)}
-    C(2n-k+1, n+1+2v) of the even binomial sum's numerator, for k = 1..n,
-    term by term."""
-    out = []
-    for k in range(1, n + 1):
-        inner = 0
-        for v in range((n - k) // 2 + 1):
-            inner += binomial(2 * n - k + 1, n + 1 + 2 * v)
-        term = 2 ** (k - 1) * inner
-        out.append(-term if (n - k) % 2 else term)
-    return tuple(out)
+def _sum_weights(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The j-free factors of the odd and the even binomial sum's numerators
+    for k = 1..n: (-1)^(n-k) 2^(k-1) b_k with b_k = C(2n-k-1, n-1), and
+    (-1)^(n-k) 2^(k-1) t_k with the inner sum sum_{v=0}^{floor((n-k)/2)}
+    C(2n-k+1, n+1+2v), which Pascal's rule folds into the tail
+    t_k = sum_{r=n}^{2n-k} C(2n-k, r).  One pass from k = n down:
+    b_n = t_n = 1, b_{k-1} = b_k (2n-k)/(n-k+1), t_{k-1} = 2 t_k + b_{k-1}."""
+    odd, even = [], []
+    b = t = 1
+    for k in range(n, 0, -1):
+        sign = -1 if (n - k) % 2 else 1
+        odd.append((sign * b) << (k - 1))
+        even.append((sign * t) << (k - 1))
+        b = b * (2 * n - k) // (n - k + 1)
+        t = 2 * t + b
+    return tuple(reversed(odd)), tuple(reversed(even))
 
 
 def _binomial_sum_report(check: str, weights: tuple[int, ...], top: int, n: int, j: int,
@@ -149,20 +142,20 @@ def check_odd_binomial_sum(n: int, j: int) -> VerificationReport:
     against the closed form 2^(n-1) C(j-1, n-1), both sides exact.
 
     The sum runs on ints as 2^(1-n) sum_k w_k C(2j-1, k-1), with the
-    j-free weights w_k of ``_odd_sum_weights`` (built once per n) and the
+    j-free weights w_k of ``_sum_weights`` (built once per n) and the
     column C(2j-1, 0..n-1) as one running product: O(n) big-int products
     per check once its n is cached."""
     started = time.perf_counter()
     if n < 1 or j < 1:
         raise ValueError("check needs n >= 1 and j >= 1")
-    return _binomial_sum_report("odd-binomial-sum", _odd_sum_weights(n), 2 * j - 1, n, j, started)
+    return _binomial_sum_report("odd-binomial-sum", _sum_weights(n)[0], 2 * j - 1, n, j, started)
 
 
 def check_even_binomial_sum(n: int, j: int) -> VerificationReport:
     """Check the conjectural even-column analogue:
     sum_{k=1}^{n} (-1/2)^(n-k) C(2j, k-1) sum_{v=0}^{floor((n-k)/2)} C(2n-k+1, n+1+2v)
     against 2^(n-1) C(j-1, n-1).  As in the odd sum, the j-free weights of
-    ``_even_sum_weights`` meet the column C(2j, 0..n-1) in one integer dot
+    ``_sum_weights`` meet the column C(2j, 0..n-1) in one integer dot
     product over 2^(n-1).
 
     No general proof is known for this sum; each report records a single
@@ -171,5 +164,5 @@ def check_even_binomial_sum(n: int, j: int) -> VerificationReport:
     started = time.perf_counter()
     if n < 1 or j < 1:
         raise ValueError("check needs n >= 1 and j >= 1")
-    return _binomial_sum_report("even-binomial-sum", _even_sum_weights(n), 2 * j, n, j, started,
+    return _binomial_sum_report("even-binomial-sum", _sum_weights(n)[1], 2 * j, n, j, started,
                                 "empirical instance; the general statement is unproved")

@@ -23,7 +23,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import binomial_column, binomial_rows, falling_factorial
+from .combinatorics import binomial_column, binomial_rows
 from .matrix import Entry, ExactMatrix, first_difference
 from .report import FrozenRecord, VerificationReport, finish_report
 from .trigring import (
@@ -250,29 +250,21 @@ def coordinate_matrix(n: int) -> ExactMatrix:
     Entry (i, j): a parity gate (zero unless i+j is even), a sign read off two
     floor expressions, the binomial C(j, floor((2i-1)/4)) and the falling
     factorial of n of the same depth.  Built a row at a time from
-    ``_pattern_rows``: row i is its pattern row times the row scale
-    (-1)^floor((2i+1)/8) ff(n, depth), a running product over the depths,
-    and the column signs (-1)^floor((2j+1)/4).
+    ``_pattern_rows``: row i is its pattern row times the row scale and the
+    column signs of ``_coordinate_scales``.
     """
     if n < 1:
         raise ValueError("coordinate matrix needs n >= 1")
-    size = 2 * n + 2
-    col_signs = [-1 if ((2 * j + 1) // 4) % 2 else 1 for j in range(1, size + 1)]
-    rows = []
-    ff = 1
-    for i, row in enumerate(_pattern_rows(n), 1):
-        depth = (2 * i - 1) // 4
-        if i % 2 and depth:
-            ff *= n - depth + 1
-        scale = -ff if ((2 * i + 1) // 8) % 2 else ff
-        rows.append(tuple([scale * c * v for c, v in zip(col_signs, row)]))
-    return ExactMatrix._of(tuple(rows), size, int)
+    row_scales, col_signs = _coordinate_scales(n)
+    rows = [tuple([scale * c * v for c, v in zip(col_signs, row)])
+            for scale, row in zip(row_scales, _pattern_rows(n))]
+    return ExactMatrix._of(tuple(rows), 2 * n + 2, int)
 
 
 def scaled_coordinate_matrix(mat: ExactMatrix, n: int) -> ExactMatrix:
     """Strip the signs and falling factorials from the coordinate matrix:
-    scale row i by 1 / ((-1)^floor((2i+1)/8) ff(n, floor((2i-1)/4))), then
-    scale column j by (-1)^floor((2j+1)/4).
+    divide row i by its row scale, then multiply column j by its sign, both
+    from ``_coordinate_scales``.
 
     The result must be the parity-gated binomial pattern C(j, floor((2i-1)/4)).
     mat holds ints; each scaled row is handed to ExactMatrix._over over its
@@ -281,17 +273,31 @@ def scaled_coordinate_matrix(mat: ExactMatrix, n: int) -> ExactMatrix:
     size = 2 * n + 2
     if (mat.rows, mat.cols) != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix")
-    col_signs = [-1 if ((2 * j + 1) // 4) % 2 else 1 for j in range(1, size + 1)]
+    row_scales, col_signs = _coordinate_scales(n)
     rows = []
-    dens = []
+    for i, scale in enumerate(row_scales):
+        if scale == 0:
+            raise ValueError(f"zero scale factor at row {i + 1}")
+        sign = -1 if scale < 0 else 1
+        rows.append([sign * v * c for v, c in zip(mat.row(i), col_signs)])
+    return ExactMatrix._over(rows, map(abs, row_scales), size)
+
+
+def _coordinate_scales(n: int) -> tuple[list[int], list[int]]:
+    """The coordinate matrix's row scales (-1)^floor((2i+1)/8) ff(n, d) at
+    depth d = floor((2i-1)/4), the falling factorial as a running product
+    over the depths, and its column signs (-1)^floor((2j+1)/4), for
+    i, j = 1 .. 2n+2."""
+    size = 2 * n + 2
+    col_signs = [-1 if ((2 * j + 1) // 4) % 2 else 1 for j in range(1, size + 1)]
+    row_scales = []
+    ff = 1
     for i in range(1, size + 1):
-        ff = falling_factorial(n, (2 * i - 1) // 4)
-        if ff == 0:
-            raise ValueError(f"zero scale factor at row {i}")
-        sign = -1 if ((2 * i + 1) // 8) % 2 else 1
-        rows.append([sign * v * c for v, c in zip(mat.row(i - 1), col_signs)])
-        dens.append(ff)
-    return ExactMatrix._over(rows, dens, size)
+        depth = (2 * i - 1) // 4
+        if i % 2 and depth:
+            ff *= n - depth + 1
+        row_scales.append(-ff if ((2 * i + 1) // 8) % 2 else ff)
+    return row_scales, col_signs
 
 
 def _pattern_rows(n: int) -> Iterator[tuple[int, ...]]:

@@ -165,6 +165,40 @@ def test_config_rejects_values_the_flags_cannot_give(tmp_path, capsys, raw):
     assert "configuration error" in capsys.readouterr().err
 
 
+# per SETTINGS row: one valid text other than the default, and texts to reject
+SETTING_TEXTS = {
+    "suites": ("pascal,identities", ("nonsense",)),
+    "max_n": ("2", ("0",)),
+    "max_j": ("2", ("0",)),
+    "shifts": ("1, 0", ("-1", "abc", "1_0")),
+    "kinds": ("cos", ("tan",)),
+    "fmt": ("markdown", ("xml",)),
+    "output": ("report.md", ()),
+}
+
+
+@pytest.mark.parametrize("name", list(cli.SETTINGS))
+def test_flags_and_config_take_the_same_text(tmp_path, name):
+    text = SETTING_TEXTS[name][0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: text}))
+    parse = cli.build_parser().parse_args
+    from_flag = cli._load_config(parse(["verify", cli.SETTINGS[name][0], text]))
+    from_file = cli._load_config(parse(["verify", "--config", str(cfg)]))
+    assert from_flag == from_file != cli.SuiteConfig()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name, bad", [(name, bad) for name in cli.SETTINGS for bad in SETTING_TEXTS[name][1]])
+def test_flags_and_config_reject_the_same_text(tmp_path, capsys, source, name, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: bad}))
+    argv = [cli.SETTINGS[name][0], bad] if source == "flag" else ["--config", str(cfg)]
+    assert main(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {name}: ") and repr(bad) in err
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"suites": ["pascal"], "retries": 2}))

@@ -162,14 +162,12 @@ def test_binomial_sums_match_the_term_by_term_reference_up_to_n_80(n, j):
 
 
 def test_binomial_sum_weight_caches_keep_their_bound():
-    caches = (combinatorics._odd_sum_weights, combinatorics._even_sum_weights)
-    for cache in caches:
-        assert cache.cache_info().maxsize == SUM_WEIGHTS_CACHE_SIZE
+    cache = combinatorics._sum_weights
+    assert cache.cache_info().maxsize == SUM_WEIGHTS_CACHE_SIZE
     for n in range(1, 3 * SUM_WEIGHTS_CACHE_SIZE + 1):
         assert check_odd_binomial_sum(n, n).computed == str(2 ** (n - 1))
         assert check_even_binomial_sum(n, n + 1).computed == str(2 ** (n - 1) * n)
-    for cache in caches:
-        assert cache.cache_info().currsize <= SUM_WEIGHTS_CACHE_SIZE
+    assert cache.cache_info().currsize <= SUM_WEIGHTS_CACHE_SIZE
 
 
 def test_even_binomial_sum_instances():
