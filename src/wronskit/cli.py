@@ -338,6 +338,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     reports, duration = run_checks(config)
+    if not reports:  # a report of no check would pass while checking nothing
+        print(f"configuration error: suites {','.join(config.suites)} plan no check "
+              f"up to max_n = {config.max_n}", file=sys.stderr)
+        return 2
     text = render_json(reports, duration) if config.fmt == "json" else render_markdown(reports, duration)
     if config.output:
         try:

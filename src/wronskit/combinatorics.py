@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import floordiv, mul, sub
+from operator import mul
 
 from .report import VerificationReport, finish_report
 
@@ -91,15 +90,18 @@ def binomial_column(x: int, size: int) -> list[int]:
     return out
 
 
-def binomial_rows(nums: Sequence[int], count: int) -> Iterator[tuple[int, ...]]:
-    """The rows (C(x, i) for x in nums) for i = 0 .. count-1, for int nums,
-    each from the one before as C(x, i) = C(x, i-1) (x-i+1) // i, an exact
-    division for either sign of x, in C-level maps."""
-    row = (1,) * len(nums)
-    for i in range(count):
-        if i:
-            row = tuple(map(floordiv, map(mul, row, map(sub, nums, repeat(i - 1))), repeat(i)))
-        yield row
+def binomial_rows(nums: Sequence[int], count: int) -> tuple[tuple[int, ...], ...]:
+    """The rows (C(x, i) for x in nums) for i = 0 .. count-1, for int nums:
+    row 0 is all ones, row 1 is nums itself, and each later row comes from
+    the one before as C(x, i) = C(x, i-1) (x-i+1) // i, an exact division
+    for either sign of x."""
+    row = tuple(nums)
+    rows = [(1,) * len(row), row]
+    for i in range(2, count):
+        t = i - 1
+        row = tuple([c * (x - t) // i for c, x in zip(row, nums)])
+        rows.append(row)
+    return tuple(rows[:max(count, 0)])
 
 
 # The most n whose binomial-sum weights, both sums' at once, stay cached.

@@ -100,10 +100,22 @@ def ladder_wronskian(spec: ChainSpec) -> ExactMatrix:
     """S W S^T from the (D^2+1)-ladder of g = D^shift f: entry (i, j), 0-indexed,
     is D^(i mod 2 + j mod 2) (D^2+1)^(i//2 + j//2) g, a cached ladder_rung.
     That is P_i(D) P_j(D) g for the row polynomials P_i(D) = D^(i mod 2)
-    (D^2+1)^(i//2) of S (_shift_stack(count, 2))."""
-    n, kind, shift = spec.n, spec.kind, spec.shift
-    return ExactMatrix([[ladder_rung(n, kind, shift + i % 2 + j % 2, i // 2 + j // 2)
-                         for j in range(spec.count)] for i in range(spec.count)])
+    (D^2+1)^(i//2) of S (_shift_stack(count, 2)).  Each rung class
+    (i mod 2 + j mod 2, i//2 + j//2) is read once, and row i takes its even
+    and its odd columns as two runs of one class's rungs."""
+    n, kind, shift, count = spec.n, spec.kind, spec.shift, spec.count
+    evens, odds = (count + 1) // 2, count // 2
+    # rungs[e][k] = D^(shift+e) (D^2+1)^k g, for every k some entry reads
+    rungs = [[ladder_rung(n, kind, shift + e, k) for k in range(size)]
+             for e, size in enumerate((2 * evens - 1, count - 1, max(2 * odds - 1, 0)))]
+    rows = []
+    for i in range(count):
+        parity, half = i % 2, i // 2
+        row = [None] * count
+        row[::2] = rungs[parity][half:half + evens]
+        row[1::2] = rungs[parity + 1][half:half + odds]
+        rows.append(tuple(row))
+    return ExactMatrix._of(tuple(rows), count, TrigPoly)
 
 
 def _ladder_determinant(spec: ChainSpec) -> Entry:

@@ -284,6 +284,11 @@ class ExactMatrix:
             raise ValueError(f"difference step must be >= 1, got {step}")
         if len(self._r) != self._cols or self._ring is TrigPoly:
             return None
+        return self._difference_determinant(step)
+
+    def _difference_determinant(self, step: int) -> Entry | None:
+        """``difference_determinant(step)`` for a square int or rational
+        matrix and a step >= 1, which the caller has checked."""
         det = 1
         for i, row in enumerate(self._r):
             for _ in range(i // step):
@@ -364,9 +369,9 @@ class ExactMatrix:
         if len(self._r) != self._cols:
             raise ValueError("determinant needs a square matrix")
         if self._ring is not TrigPoly:
-            det = self.difference_determinant(1)
+            det = self._difference_determinant(1)
             if det is None:
-                det = self.difference_determinant(2)
+                det = self._difference_determinant(2)
             return self._bareiss()[1] if det is None else det
         rows = self._r
         order = len(rows)

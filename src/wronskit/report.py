@@ -78,8 +78,10 @@ class VerificationReport(FrozenRecord):
 
 def finish_report(check: str, params: dict[str, object], expected: object, computed: object,
                   started: float, note: str = "") -> VerificationReport:
-    """Close a timed check; pass iff the two values render identically."""
+    """Close a timed check; pass iff the two values render identically.  The
+    report keeps ``params`` itself, not a copy: every caller passes a dict
+    built for this one report."""
     expected = str(expected)
     computed = str(computed)
-    return VerificationReport(check, dict(params), expected, computed, expected == computed,
+    return VerificationReport(check, params, expected, computed, expected == computed,
                               (time.perf_counter() - started) * 1000.0, note)

@@ -33,6 +33,10 @@ class MatrixKind(Enum):
     BINOM_AFFINE = "binom-affine"    # C(a j + b, i-1)
     BINOM_NODES = "binom-nodes"      # C(x_j, i-1)
 
+    # members are singletons: hash by identity, not through Enum.__hash__,
+    # a Python-level call on every lookup of a per-kind table
+    __hash__ = object.__hash__
+
 
 class MatrixSpec(FrozenRecord):
     """One named matrix instance.
@@ -129,11 +133,18 @@ def _binom_even(spec: MatrixSpec) -> ExactMatrix:
 
 
 def _binom_affine(spec: MatrixSpec) -> ExactMatrix:
-    _need_size(spec.n)
+    n = spec.n
+    _need_size(n)
     if spec.a is None or spec.b is None:
         raise ValueError("binom-affine needs a and b")
-    (a, b), common = common_denominator((spec.a, spec.b))
-    return _binomial_nodes_matrix([a * j + b for j in range(1, spec.n + 1)], common)
+    a, b = _rational(spec.a), _rational(spec.b)
+    if a.denominator == 1 == b.denominator:
+        # int nodes a j + b (an int-valued Fraction read as its int), with no
+        # common denominator to find
+        (a, b), common = (a.numerator, b.numerator), 1
+    else:
+        (a, b), common = common_denominator((a, b))
+    return _binomial_nodes_matrix([a * j + b for j in range(1, n + 1)], common)
 
 
 def _binom_nodes(spec: MatrixSpec) -> ExactMatrix:
@@ -157,19 +168,20 @@ _BUILDERS = {
     MatrixKind.BINOM_NODES: (("nodes",), _binom_nodes),
 }
 
+# per kind, the fields it does not read, in MatrixSpec's order, and its builder
+_UNREAD = {kind: (tuple(name for name in MatrixSpec.__slots__[1:] if name not in reads), builder)
+           for kind, (reads, builder) in _BUILDERS.items()}
+
 
 def build(spec: MatrixSpec) -> ExactMatrix:
     kind = spec.kind
-    entry = _BUILDERS.get(kind)
+    entry = _UNREAD.get(kind)
     if entry is None:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    reads, builder = entry
-    unread = [name for name in ("k", "a", "b", "nodes")
-              if getattr(spec, name) is not None and name not in reads]
-    if spec.n and "n" not in reads:
-        unread.insert(0, "n")
-    if unread:
-        raise ValueError(f"{kind.value} does not take {', '.join(unread)}")
+    unread, builder = entry
+    given = [name for name in unread if (spec.n if name == "n" else getattr(spec, name) is not None)]
+    if given:
+        raise ValueError(f"{kind.value} does not take {', '.join(given)}")
     return builder(spec)
 
 
@@ -181,7 +193,7 @@ def _binomial_nodes_matrix(nums: list[int], common: int) -> ExactMatrix:
     common^i i!, which ``ExactMatrix._over`` reduces."""
     size = len(nums)
     if common == 1:
-        return ExactMatrix._of(tuple(binomial_rows(nums, size)), size, int)
+        return ExactMatrix._of(binomial_rows(nums, size), size, int)
     row = (1,) * size
     rows = [row]
     dens = [1]
@@ -234,7 +246,7 @@ def det_closed_form(spec: MatrixSpec) -> Rat:
 
 
 def _spec_params(spec: MatrixSpec) -> dict:
-    params: dict = {"kind": spec.kind.value}
+    params: dict = {"kind": spec.kind._value_}  # ``value`` is an Enum property, read through a call
     if spec.kind is MatrixKind.BINOM_NODES:
         params["nodes"] = ",".join(str(x) for x in spec.nodes)
     else:

@@ -42,6 +42,10 @@ class Trig(Enum):
     SIN = "sin"
     COS = "cos"
 
+    # members are singletons: hash by identity, not through Enum.__hash__,
+    # a Python-level call on every ladder_rung cache lookup
+    __hash__ = object.__hash__
+
 
 def _clean(t: Terms) -> Terms:
     return {m: v for m, v in t.items() if v}

@@ -222,6 +222,16 @@ def test_unknown_suite_rejected(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_a_plan_with_no_check_is_a_configuration_error(tmp_path, capsys):
+    # the pascal suite starts at n = 2, so max_n = 1 plans nothing to check
+    target = tmp_path / "report.json"
+    assert main(["verify", "--suite", "pascal", "--max-n", "1", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: suites pascal plan no check up to max_n = 1\n"
+    assert not target.exists()
+
+
 def test_unwritable_output_rejected(tmp_path, capsys):
     target = tmp_path / "no_such_dir" / "report.json"
     code = main(["verify", "--suite", "pascal", "--max-n", "2", "--output", str(target)])

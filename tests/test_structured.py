@@ -83,6 +83,14 @@ def _same_entries(got, want):
          for i in range(want.rows) for j in range(want.cols)]
 
 
+# every integral value both as an int and as an int-valued Fraction, so the
+# affine builds take both the int-node path and the common-denominator path
+AFFINE_TEST_SLOPES = (-2, -1, 0, 1, 2, 3, Fraction(-2), Fraction(-1), Fraction(0), Fraction(1),
+                      Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1, 2))
+AFFINE_TEST_OFFSETS = (-1, 0, 1, 2, Fraction(-1), Fraction(0), Fraction(1), Fraction(2),
+                       Fraction(1, 3))
+
+
 def test_closure_free_builders_match_their_entry_definitions():
     for n in range(1, 13):
         _same_entries(ExactMatrix.identity(n), from_fn(n, n, lambda i, j: 1 if i == j else 0))
@@ -102,6 +110,10 @@ def test_closure_free_builders_match_their_entry_definitions():
         nodes = tuple(Fraction(3 * j - 17, 1 + j % 3) for j in range(n))
         _same_entries(build(MatrixSpec(MatrixKind.BINOM_NODES, nodes=nodes)),
                       from_fn(n, n, lambda i, j: binomial(nodes[j - 1], i - 1)))
+        for a in AFFINE_TEST_SLOPES:
+            for b in AFFINE_TEST_OFFSETS:
+                _same_entries(build(MatrixSpec(MatrixKind.BINOM_AFFINE, n=n, a=a, b=b)),
+                              from_fn(n, n, lambda i, j: binomial(a * j + b, i - 1)))
         for k in range(1, n):
             _same_entries(row_shift_matrix(n, k), from_fn(
                 n, n, lambda i, j: 1 if i == j or (i == j + 1 and i >= k + 1) else 0))
