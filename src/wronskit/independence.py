@@ -7,7 +7,8 @@ ring after the paper's transformation: conjugation by a row-shift stack S
 (D^2+1)-ladder, whose rungs from (D^2+1)^(n+1) f on vanish; its entries are
 closed-form rungs (trigring.ladder_rung).  Both transform checks are one
 per-class check (_transform_difference), reading S H S^T one entry per class
-from the Hankel values of H: only k = 0 rungs, the plain derivatives of f,
+from the Hankel values of H through a class table cached per stack
+(_class_table): only k = 0 rungs, the plain derivatives of f,
 reaching the ladder through S alone, so they test the closed form's
 D^k (D+2i)^k factor; the k = 0 part is pinned by
 verify_basis_columns (the paper's coordinate closed form) and by the ring tests.
@@ -65,7 +66,14 @@ def wronskian_hankel(spec: ChainSpec) -> ExactMatrix:
         for i in range(spec.count)])
 
 
-@lru_cache(maxsize=None)
+# The most shift stacks, and as many class tables, that stay cached, each
+# keyed by (size, step).  A sweep over n reads each size for a few checks in
+# a row; the bound keeps a long sweep from holding every stack it ever built
+# (sizes 2 to 202 at --max-n 100).
+SHIFT_STACK_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=SHIFT_STACK_CACHE_SIZE)
 def _shift_stack(size: int, step: int) -> tuple[ExactMatrix, str]:
     """ExactMatrix.shift_stack(size, step) and its named first difference from
     C(i//step, j//step) where i = j mod step, else 0 (0-indexed): 'ok' iff row i
@@ -81,19 +89,52 @@ def _shift_stack(size: int, step: int) -> tuple[ExactMatrix, str]:
     return stack, difference if difference == "ok" else f"{name}: {difference}"
 
 
-def _conjugated_entry(row_i: Sequence[int], row_j: Sequence[int], h: Sequence[Entry]) -> TrigPoly:
-    """Entry (i, j) of S H S^T for rows i and j of an int matrix S and the
-    Hankel matrix H[a, b] = h[a + b] (0-indexed): sum_t (s_i * s_j)_t h[t],
-    where s_i * s_j is the convolution of the two rows, taken as one
-    TrigPoly.sum_of_products over (coefficient, h[t], 1).  h holds at least
-    len(row_i) + len(row_j) - 1 values."""
-    conv = [0] * len(h)
+@lru_cache(maxsize=SHIFT_STACK_CACHE_SIZE)
+def _class_table(size: int, step: int) -> tuple[tuple, ...]:
+    """The ladder classes of S H S^T for the stack S of _shift_stack(size,
+    step), in the row-major order of their first entries: per class
+    (e, k) = (i mod step + j mod step, i//step + j//step) the tuple
+    (e, k, i, j, (offsets, coefficients)), (i, j) its first entry
+    (0-indexed), and the nonzero coefficients of the convolution of rows i
+    and j of S with their places t as offsets t - e, so that the entry is
+    the sum of coefficient * h[e + offset].  Equal (offsets, coefficients)
+    are stored once: for a stack on the ladder, the classes of one k share
+    them."""
+    rows = _shift_stack(size, step)[0]._r
+    table = []
+    seen = set()
+    shared = {}
+    for i in range(size):
+        for j in range(size):
+            e, k = i % step + j % step, i // step + j // step
+            if (e, k) not in seen:
+                seen.add((e, k))
+                conv = _convolution(rows[i], rows[j])
+                terms = (tuple(t for t, c in enumerate(conv, -e) if c), tuple(filter(None, conv)))
+                table.append((e, k, i, j, shared.setdefault(terms, terms)))
+    return tuple(table)
+
+
+def _convolution(row_i: Sequence[int], row_j: Sequence[int]) -> list[int]:
+    """The coefficients of the product of the polynomials whose coefficients
+    are the int rows row_i and row_j: len(row_i) + len(row_j) - 1 of them."""
+    conv = [0] * (len(row_i) + len(row_j) - 1)
     for a, x in enumerate(row_i):
         if x:
             for t, y in enumerate(row_j, a):
                 if y:
                     conv[t] += x * y
-    return TrigPoly.sum_of_products((c, v, 1) for c, v in zip(conv, h) if c)
+    return conv
+
+
+def _conjugated_entry(row_i: Sequence[int], row_j: Sequence[int], h: Sequence[Entry]) -> TrigPoly:
+    """Entry (i, j) of S H S^T for rows i and j of an int matrix S and the
+    Hankel matrix H[a, b] = h[a + b] (0-indexed): sum_t (s_i * s_j)_t h[t],
+    where s_i * s_j is the convolution of the two rows, taken as one
+    TrigPoly.sum_of_products over (coefficient, h[t], 1).  h holds at least
+    len(row_i) + len(row_j) - 1 values.  The reference for the class tables
+    of _transform_difference, and the value its failure message shows."""
+    return TrigPoly.sum_of_products((c, v, 1) for c, v in zip(_convolution(row_i, row_j), h) if c)
 
 
 def ladder_wronskian(spec: ChainSpec) -> ExactMatrix:
@@ -168,21 +209,23 @@ def _transform_difference(n: int, kind: Trig, shift: int, size: int, step: int) 
     Row i of S is P_i(z), z = D^(2//step), so entry (i, j) of S H S^T,
     (P_i P_j)(z) D^shift f, depends only on the class (e, k) = (i mod step +
     j mod step, i//step + j//step) and must be the rung D^(shift+e) (D^2+1)^k f:
-    only the first entry of each class is taken (_conjugated_entry)."""
+    only the first entry of each class is taken, from the cached class
+    table (_class_table) as one TrigPoly.sum_of_products of the Hankel values."""
     stack, difference = _shift_stack(size, step)
     if difference != "ok":
         return difference
     h = [ladder_rung(n, kind, shift + t * (2 // step), 0) for t in range(2 * size - 1)]
-    firsts = {}  # class -> its first entry in row-major order
-    for i in range(size):
-        for j in range(size):
-            firsts.setdefault((i % step + j % step, i // step + j // step), (i, j))
-    for (e, k), (i, j) in firsts.items():
-        got = _conjugated_entry(stack.row(i), stack.row(j), h)
+    for e, k, i, j, (offsets, coefficients) in _class_table(size, step):
         want = ladder_rung(n, kind, shift + e, k)
-        if got != want:
+        if TrigPoly.sum_of_products([(c, h[e + t], 1) for t, c in zip(offsets, coefficients)]) != want:
+            got = _conjugated_entry(stack.row(i), stack.row(j), h)
             return f"entry ({i + 1},{j + 1}) is {got}, want {want}"
     return "ok"
+
+
+def _hankel(h: list[TrigPoly], size: int) -> ExactMatrix:
+    """The size x size TrigPoly matrix H[a, b] = h[a + b], rows sliced off h."""
+    return ExactMatrix._of(tuple(tuple(h[i:i + size]) for i in range(size)), size, TrigPoly)
 
 
 def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Trig.SIN) -> VerificationReport:
@@ -202,9 +245,8 @@ def verify_even_hankel_transform(steps: int, shift: int, n: int, kind: Trig = Tr
     size = steps + 1
     difference = _transform_difference(n, kind, shift, size, 1)
     if difference == "ok":
-        span = range(size)
-        grid = ExactMatrix([[ladder_rung(n, kind, shift + 2 * (i + j), 0) for j in span] for i in span])
-        target = ExactMatrix([[ladder_rung(n, kind, shift, i + j) for j in span] for i in span])
+        grid = _hankel([ladder_rung(n, kind, shift + 2 * t, 0) for t in range(2 * size - 1)], size)
+        target = _hankel([ladder_rung(n, kind, shift, t) for t in range(2 * size - 1)], size)
         if grid.determinant() != target.determinant():
             difference = "determinant changed under conjugation"
     params = {"steps": steps, "shift": shift, "n": n, "kind": kind.value}

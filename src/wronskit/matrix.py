@@ -14,9 +14,10 @@ determinant that neither step reduces; a
 division-free determinant memoized over column subsets for TrigPoly
 entries (``_subset_minor``), whose minors are either packed ints, for a
 dense matrix of int linear forms A(x) c + B(x) s of order 4 to 8 (one int
-per coefficient of c^(k-e) s^e, by Kronecker substitution x = 2^W), or else
-TrigPoly values, each one TrigPoly.sum_of_products; and the interleave split
-of a checkerboard matrix.
+per coefficient of c^(k-e) s^e, by Kronecker substitution x = 2^W, each
+entry packed once per width and kept in its memo), or else TrigPoly values,
+each one TrigPoly.sum_of_products; and the interleave split of a
+checkerboard matrix.
 
 A matrix over Q holds no Fraction.  It is stored as integer numerator rows,
 each over one positive row denominator and in lowest terms, so equal
@@ -321,10 +322,11 @@ class ExactMatrix:
 
         - packed (``_packed_determinant``) where the order is in
           PACKED_ORDERS, no entry is zero (looked for from the last entry
-          back, so a threshold ladder is refused at one look), and one walk
-          over the terms (``_linear_form_shape``) finds every entry a linear
-          form A(x) c + B(x) s with int coefficients, of x-degree at most the
-          order, and a slot width of at most PACKED_MAX_WIDTH bits: a k-row
+          back, so a threshold ladder is refused at one look), and
+          ``_linear_form_shape``, reading each entry's memo, finds every
+          entry a linear form A(x) c + B(x) s with int coefficients, of
+          x-degree at most the order, and a slot width of at most
+          PACKED_MAX_WIDTH bits: a k-row
           minor is a form of degree k in (c, s), kept as its k + 1
           coefficients in Z[x], each one int by Kronecker substitution, so
           every polynomial product is one int multiplication;
@@ -334,37 +336,47 @@ class ExactMatrix:
           tests take as the reference.
 
         A packed product costs about W^2 per pair of coefficient slots, W
-        the one slot width that the largest coefficients set, zero
-        coefficients included, and the walk and the packing cost a fixed
-        25-35 us at order 4 and 100-145 us at order 8.  Cross-over, as
-        TrigPoly time over packed time (best of several runs in one process;
-        even grid: D^(2+2(i+j)) x^n cos x, dense ladder: ladder_wronskian at
-        shift 0 with no zero entry; shared 2-core x86, Python 3.11; measured
-        when choosing the route took three passes over the terms, about
-        30 us more at order 4, so the packed side is now a little faster
-        than listed):
+        the one slot width that the largest coefficients set, rounded up to
+        a multiple of 64 bits, zero coefficients included.  Each entry's walk
+        and packing are paid once in its life, since a TrigPoly keeps them
+        in its memo: for a matrix of fresh entries they cost about 30-60 us
+        at order 4 and 200-260 us at order 8, and 3-5 us and 9-15 us once
+        the entries are cached rungs read before (without the memo, 30-75
+        and 145-200 us on every call, same host).  Cross-over, as TrigPoly time
+        over packed time, warm (memos filled; best of several runs in one
+        process) and cold (fresh entries; one run each); even grid:
+        D^(shift+2(i+j)) x^n trig, dense ladder: ladder_wronskian at
+        shift 0 with no zero entry; shared 2-core x86, Python 3.11:
 
-        ============================================  ================
-        matrix                                        packed speed-up
-        ============================================  ================
-        even grid, order 2                            0.3-0.5
-        even grid, order 3, n = 1, 2 / n = 4, 8       0.8-1.0 / 1.5-1.7
-        even grid, orders 4-8, n <= order             1.1-5.0
-        dense ladder, orders 4-8, n <= order          1.1-3.4
-        even grid, orders 4-7, n = order + 1..4       1.6-4.4
-        dense ladder, orders 4-5, n = order + 1..3    1.2-2.0
-        dense ladder, orders 6-8, n = order + 1..3    0.33-1.7
-        even grid, order 9, n <= 6 / n = 8            1.3-2.4 / 0.9
-        dense ladder, order 9, n = 8 / n = 9          1.3 / 0.48
-        orders 4-8, W = 328-1127 (shifts 10^3-10^9)   0.18-1.1
-        ladder with zero entries, orders 8-42         0.04-0.35
-        ============================================  ================
+        ============================================  =========  =========
+        matrix                                        warm       cold
+        ============================================  =========  =========
+        even grid, order 2, n = 1-4                   0.6-1.3    0.4-1.0
+        even grid, order 3, n = 1-4                   1.7-3.6    0.8-2.2
+        even grid, order 3, n = 8                     1.6-2.9    1.1-2.0
+        even grid, order 4, n = 1-4                   2.3-5.7    1.3-3.8
+        even grid, orders 5-8, n <= order             1.1-4.6    1.4-3.1
+        dense ladder, orders 4-8, n <= order          1.6-3.5    1.2-2.5
+        even grid, orders 4-7, n = order + 1..4       1.2-4.9    0.8-4.2
+        dense ladder, orders 4-5, n = order + 1..3    0.7-1.9    0.7-1.5
+        dense ladder, orders 6-8, n = order + 1..3    0.37-1.4   0.26-1.4
+        even grid, order 9, n <= 6 / n = 8            1.6-2.8    1.0-2.5
+        dense ladder, order 9, n = 8, 9               0.50-0.74  0.61-1.3
+        orders 4-8, W = 328-1939 (shifts 10^3-10^9)   0.16-2.3   0.15-2.2
+        threshold ladder, orders 8-42 (zeros pruned)  0.37-1.05  0.06-0.36
+        ============================================  =========  =========
 
-        So the packed minors take orders 4-8 (order 3 loses at small n,
-        order 9 at n = 8 and 9), entries of x-degree at most the order
-        (longer ladder entries lose from order 6 on, even where grids would
-        still win) and widths up to 320 bits (the large-shift losses start
-        at 328); a zero entry leaves them to the TrigPoly route's pruning.
+        So the packed minors take orders 4-8, entries of x-degree at most
+        the order (longer ladder entries lose from order 6 on, even where
+        grids would still win) and widths up to 320 bits (the large-shift
+        losses start at 328); a zero entry leaves them to the TrigPoly
+        route's pruning.  Order 9 loses on the dense ladders at n = 8 and 9.
+        Order 3 wins warm but not always cold, and in fresh-process passes
+        of the symbolic benchmark its grid checks gained under 2 % with it
+        (16 alternating pairs: 3.53 ms summed without, 3.47 ms with), the
+        n = 4 ones slower in 20 of 24 pairs (1.95 against 2.28 ms), where
+        the target grid's rungs are read by that check alone; so order 3
+        stays out.
         """
         if len(self._r) != self._cols:
             raise ValueError("determinant needs a square matrix")
@@ -377,7 +389,7 @@ class ExactMatrix:
         order = len(rows)
         if order in PACKED_ORDERS and all(map(all, map(reversed, reversed(rows)))):
             shape = _linear_form_shape(rows)
-            if shape is not None and shape[1] <= order and shape[0] <= PACKED_MAX_WIDTH:
+            if shape and shape[1] <= order and shape[0] <= PACKED_MAX_WIDTH:
                 return _packed_determinant(rows, shape[0])
         return _subset_minor(rows, TrigPoly.sum_of_products)
 
@@ -483,28 +495,30 @@ def _subset_minor(rows, combine):
         memo[mask] = got = combine(terms)
         return got
 
-    return minor((1 << len(rows)) - 1)
+    det = minor((1 << len(rows)) - 1)
+    # minor reaches itself through its closure cell; emptying the cell breaks
+    # that cycle, so minor and memo are freed on return, not by the cyclic GC
+    del minor
+    return det
 
 
 def _linear_form_shape(rows) -> tuple[int, int] | None:
     """(W, D) for rows whose every entry is a nonzero linear form
-    A(x) c + B(x) s with int coefficients, from one walk over their terms:
-    W the packed slot width (``_packed_determinant``), D the largest x-degree.
-    None at the first entry that is no such form."""
+    A(x) c + B(x) s with int coefficients: W the packed slot width
+    (``_packed_determinant``), D the largest x-degree; None at the first
+    entry that is no such form.  Each entry's terms are read once in its
+    life (``TrigPoly._linear_form``), so a cached rung costs one memo read."""
     bound = 1
     degree = 0
     for row in rows:
         norm = 0
         for e in row:
-            if type(e) is not TrigPoly or not e:
+            form = type(e) is TrigPoly and (e._linear_form() if e._memo is None else e._memo)
+            if not form:
                 return None
-            for terms, c in ((e._p, 1), (e._q, 0)):  # A c: p keys (d, 1); B s: q keys (d, 0)
-                for (d, k), v in terms.items():
-                    if k != c or type(v) is not int:
-                        return None
-                    norm += abs(v)
-                    if d > degree:
-                        degree = d
+            norm += form[0]
+            if form[1] > degree:
+                degree = form[1]
         bound *= norm
     return bound.bit_length() + 1, degree
 
@@ -520,22 +534,35 @@ def _packed_determinant(rows, width: int) -> TrigPoly:
     is the list of its k + 1 packed delta_e.  An entry times a minor adds
     A delta_e to slot e and B delta_e to slot e + 1 (``_packed_sum``).
 
-    Width: W = width, which ``_linear_form_shape`` gives as the bit length
-    of the product over rows of the rows' coefficient 1-norms, plus one.
-    That norm is submultiplicative, and a minor of the leading k rows on any
-    columns is a signed sum of products of one entry per row, so every
-    coefficient of every such minor, taken unreduced, is at most the
-    product of its rows' sums, hence below 2^(W-1).  The balanced base-2^W
-    digits of each packed slot are then exactly its coefficients, and a
-    slot is 0 only if its polynomial is: zero minors are pruned as on the
-    TrigPoly route.  The result is decoded once (``_unpack_form``)."""
-    packed = [[(_pack(e._p, width), _pack(e._q, width)) for e in row] for row in rows]
+    Width: W is width, which ``_linear_form_shape`` gives as the bit length
+    of the product over rows of the rows' coefficient 1-norms, plus one,
+    rounded up to a multiple of 64 bits.  That norm is submultiplicative,
+    and a minor of the leading k rows on any columns is a signed sum of
+    products of one entry per row, so every coefficient of every such minor,
+    taken unreduced, is at most the product of its rows' sums, hence below
+    2^(W-1).  The balanced base-2^W digits of each packed slot are then
+    exactly its coefficients, and a slot is 0 only if its polynomial is:
+    zero minors are pruned as on the TrigPoly route.  The result is decoded
+    once (``_unpack_form``).
+
+    Each entry keeps its packing at W in its memo, so a cached rung is
+    packed once per rounded width however many determinants read it; the
+    rounding lets matrices of nearby widths share those packings."""
+    width = -(-width // 64) * 64
+    packed = [[e._memo[2].get(width) or _pack(e, width) for e in row] for row in rows]
     return _unpack_form(_subset_minor(packed, _packed_sum), width)
 
 
-def _pack(terms, width: int) -> int:
-    """The int sum of v 2^(width d) over the terms (d, _) -> v."""
-    return sum([v << width * d for (d, _), v in terms.items()])
+def _pack(e, width: int):
+    """The linear form e = A c + B s as (A, B) packed at width, each the int
+    sum of v 2^(width d) over its terms (d, _) -> v, and kept in e's memo."""
+    a = b = 0
+    for (d, _), v in e._p.items():
+        a += v << width * d
+    for (d, _), v in e._q.items():
+        b += v << width * d
+    e._memo[2][width] = pair = (a, b)
+    return pair
 
 
 def _packed_sum(terms) -> list[int] | tuple[()]:

@@ -13,8 +13,6 @@ import math
 import time
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
-from operator import mul, sub
 
 from .combinatorics import Rat, _rational, binomial_column, binomial_rows, common_denominator
 from .matrix import ExactMatrix, first_difference
@@ -198,7 +196,8 @@ def _binomial_nodes_matrix(nums: list[int], common: int) -> ExactMatrix:
     rows = [row]
     dens = [1]
     for i in range(1, size):
-        row = list(map(mul, row, map(sub, nums, repeat((i - 1) * common))))
+        t = (i - 1) * common
+        row = [c * (x - t) for c, x in zip(row, nums)]
         rows.append(row)
         dens.append(dens[-1] * common * i)
     return ExactMatrix._over(rows, dens, size)
@@ -209,8 +208,41 @@ def _need_size(n: int) -> None:
         raise ValueError("matrix size parameter must be >= 1")
 
 
-CLOSED_FORM_KINDS = frozenset(
-    {MatrixKind.BINOM_ODD, MatrixKind.BINOM_EVEN, MatrixKind.BINOM_AFFINE, MatrixKind.BINOM_NODES})
+def _binom_odd_even_det(spec: MatrixSpec) -> int:
+    return 2 ** math.comb(spec.n + 1, 2)
+
+
+def _binom_affine_det(spec: MatrixSpec) -> Rat:
+    _rational(spec.b)
+    a = _rational(spec.a)
+    return (a.numerator if a.denominator == 1 else a) ** math.comb(spec.n, 2)
+
+
+def _binom_nodes_det(spec: MatrixSpec) -> Fraction:
+    # every node as an int over one common denominator: each difference
+    # x_j - x_i is (ints[j] - ints[i]) / common
+    size = len(spec.nodes)
+    ints, common = common_denominator(spec.nodes)
+    num = 1
+    for i in range(size):
+        for j in range(i + 1, size):
+            num *= ints[j] - ints[i]
+    den = common ** math.comb(size, 2)
+    for k in range(1, size):
+        den *= math.factorial(k)
+    return Fraction(num, den)
+
+
+# per binomial kind, its determinant's closed form (looked up by kind, so a
+# check reads no MatrixKind member through its class)
+_CLOSED_FORMS = {
+    MatrixKind.BINOM_ODD: _binom_odd_even_det,
+    MatrixKind.BINOM_EVEN: _binom_odd_even_det,
+    MatrixKind.BINOM_AFFINE: _binom_affine_det,
+    MatrixKind.BINOM_NODES: _binom_nodes_det,
+}
+
+CLOSED_FORM_KINDS = frozenset(_CLOSED_FORMS)
 
 
 def det_closed_form(spec: MatrixSpec) -> Rat:
@@ -222,35 +254,20 @@ def det_closed_form(spec: MatrixSpec) -> Rat:
     takes it); TypeError, as from ``build``, for an a or b that is neither.
     binom-nodes: prod_{i<j} (x_j - x_i) / (1! 2! ... (size-1)!).
     """
-    kind = spec.kind
-    if kind in (MatrixKind.BINOM_ODD, MatrixKind.BINOM_EVEN):
-        return 2 ** math.comb(spec.n + 1, 2)
-    if kind is MatrixKind.BINOM_AFFINE:
-        _rational(spec.b)
-        a = _rational(spec.a)
-        return (a.numerator if a.denominator == 1 else a) ** math.comb(spec.n, 2)
-    if kind is MatrixKind.BINOM_NODES:
-        # every node as an int over one common denominator: each difference
-        # x_j - x_i is (ints[j] - ints[i]) / common
-        size = len(spec.nodes)
-        ints, common = common_denominator(spec.nodes)
-        num = 1
-        for i in range(size):
-            for j in range(i + 1, size):
-                num *= ints[j] - ints[i]
-        den = common ** math.comb(size, 2)
-        for k in range(1, size):
-            den *= math.factorial(k)
-        return Fraction(num, den)
-    raise ValueError(f"no determinant closed form for kind {kind.value}")
+    closed_form = _CLOSED_FORMS.get(spec.kind)
+    if closed_form is None:
+        raise ValueError(f"no determinant closed form for kind {spec.kind.value}")
+    return closed_form(spec)
 
 
 def _spec_params(spec: MatrixSpec) -> dict:
     params: dict = {"kind": spec.kind._value_}  # ``value`` is an Enum property, read through a call
-    if spec.kind is MatrixKind.BINOM_NODES:
-        params["nodes"] = ",".join(str(x) for x in spec.nodes)
-    else:
+    # build, which det_identity calls first, refuses nodes for every kind but
+    # binom-nodes and requires them there
+    if spec.nodes is None:
         params["n"] = spec.n
+    else:
+        params["nodes"] = ",".join(str(x) for x in spec.nodes)
     if spec.k is not None:
         params["k"] = spec.k
     if spec.a is not None:

@@ -11,7 +11,10 @@ and equality is coefficient comparison.  The ring is an integral domain
 Elements are immutable; all operations return fresh values, which keeps
 them safe to share across threads and in the rung cache.  Term dicts from
 outside are cleaned of zero coefficients once, in the constructor; the ring
-operations build their results clean and wrap them as they are.
+operations build their results clean and wrap them as they are.  Each element
+has one private memo slot, which the packed determinant (matrix.py) fills on
+first use with facts derived from the value and never changes the value:
+equality, hashing, printing and pickling ignore it.
 
 Every product of two elements goes through one kernel,
 ``TrigPoly.sum_of_products``: it accumulates a whole signed sum of products
@@ -73,13 +76,21 @@ def _scale(a: Terms, k: Coeff) -> Terms:
 
 
 class TrigPoly:
-    """One canonical-form element p(x, c) + s * q(x, c)."""
+    """One canonical-form element p(x, c) + s * q(x, c), immutable.
 
-    __slots__ = ("_p", "_q")
+    ``_memo`` is None until ``_linear_form`` reads the value once for the
+    packed determinant (matrix.py) and keeps what it found there: False
+    where the value is no nonzero linear form A(x) c + B(x) s with int
+    coefficients, else its 1-norm, its x-degree and its packings by slot
+    width.  It is a cache of the value, not part of it: ``==``, ``hash``,
+    ``repr``, pickling and the ``p``/``q`` views never read it."""
+
+    __slots__ = ("_p", "_q", "_memo")
 
     def __init__(self, p: Terms | None = None, q: Terms | None = None):
         self._p = _clean(p) if p else {}
         self._q = _clean(q) if q else {}
+        self._memo = None
 
     @staticmethod
     def _of(p: Terms, q: Terms) -> "TrigPoly":
@@ -87,7 +98,31 @@ class TrigPoly:
         u = TrigPoly.__new__(TrigPoly)
         u._p = p
         u._q = q
+        u._memo = None
         return u
+
+    def _linear_form(self):
+        """Fill the memo from one walk over the terms and return it: False
+        unless the value is a nonzero linear form A(x) c + B(x) s with int
+        coefficients, else [its coefficient 1-norm, its x-degree, {slot
+        width: (A, B) packed}], the packings filled by matrix._pack."""
+        # one store of the finished memo: a thread that reads it mid-walk sees
+        # None, never a memo that the walk would still change
+        norm = degree = 0
+        for terms, c in ((self._p, 1), (self._q, 0)):  # A c: p keys (d, 1); B s: q keys (d, 0)
+            for (d, k), v in terms.items():
+                if k != c or type(v) is not int:
+                    self._memo = False
+                    return False
+                norm += abs(v)
+                if d > degree:
+                    degree = d
+        self._memo = form = [norm, degree, {}] if norm else False  # norm 0: the zero value
+        return form
+
+    def __reduce__(self):
+        # the value alone: a copy or an unpickled value starts with no memo
+        return TrigPoly, (self._p, self._q)
 
     # Read-only views; printing and the numeric test oracle iterate these.
     @property

@@ -135,9 +135,11 @@ def test_double_shift_stack_is_the_interleaved_binomial_matrix():
 @pytest.fixture
 def fresh_caches():
     independence._shift_stack.cache_clear()
+    independence._class_table.cache_clear()
     trigring.ladder_rung.cache_clear()
     yield
     independence._shift_stack.cache_clear()
+    independence._class_table.cache_clear()
     trigring.ladder_rung.cache_clear()
 
 
@@ -280,6 +282,38 @@ def test_a_wrong_rung_in_any_class_fails_the_transform_check(monkeypatch, fresh_
     monkeypatch.setattr(independence, "ladder_rung", rung)
     assert verify_wronskian_transform(n, Trig.COS).passed
     assert verify_even_hankel_transform(steps, shift, n, Trig.SIN).passed
+
+
+def test_class_tables_give_the_conjugated_entry_of_every_class():
+    # each cached class, summed from the Hankel values, is the entry of
+    # S H S^T that _conjugated_entry convolves from the stack's rows at the
+    # class's first entry, and that entry is the class's rung
+    n = 3
+    for step in (1, 2):
+        for size in range(2, 10):
+            stack = independence._shift_stack(size, step)[0]
+            table = independence._class_table(size, step)
+            classes = {(i % step + j % step, i // step + j // step) for i in range(size) for j in range(size)}
+            assert sorted((e, k) for e, k, *_ in table) == sorted(classes), (size, step)
+            for kind in (Trig.SIN, Trig.COS):
+                for shift in range(4):
+                    h = [ladder_rung(n, kind, shift + t * (2 // step), 0) for t in range(2 * size - 1)]
+                    for e, k, i, j, (offsets, coefficients) in table:
+                        assert (i, j) == _first_of_class(size, step, e, k)
+                        got = TrigPoly.sum_of_products([(c, h[e + t], 1) for t, c in zip(offsets, coefficients)])
+                        assert got == independence._conjugated_entry(stack.row(i), stack.row(j), h), (size, step, e, k)
+                        assert got == ladder_rung(n, kind, shift + e, k), (size, step, kind, shift, e, k)
+                    assert independence._transform_difference(n, kind, shift, size, step) == "ok"
+
+
+def test_stack_and_class_table_caches_stay_within_their_bound(fresh_caches):
+    bound = independence.SHIFT_STACK_CACHE_SIZE
+    for size in range(2, bound + 10):
+        for step in (1, 2):
+            assert independence._transform_difference(1, Trig.SIN, 0, size, step) == "ok"
+    for cache in (independence._shift_stack, independence._class_table):
+        info = cache.cache_info()
+        assert info.maxsize == bound and info.currsize == bound, info
 
 
 def test_transform_entries_match_the_product_by_definition():

@@ -1,5 +1,10 @@
+import gc
 import math
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
+from itertools import cycle, islice
 from random import Random
 
 import pytest
@@ -20,7 +25,8 @@ from wronskit import (
     pascal_product,
     scaled_coordinate_matrix,
 )
-from wronskit import matrix
+from wronskit import matrix, trigring
+from wronskit.cli import SuiteConfig, plan_checks
 from wronskit.independence import _conjugated_entry, _shift_stack
 from oracles import (
     basis_element,
@@ -463,6 +469,66 @@ def test_other_trig_matrices_never_reach_the_packed_minors(monkeypatch):
     monkeypatch.setattr(matrix, "_packed_determinant", lambda rows, width: pytest.fail("packed minors reached"))
     for m, want in cases:
         assert m.determinant() == want, m.pretty()
+
+
+def test_symbolic_determinants_leave_no_cyclic_garbage():
+    # the memo of minors is freed by reference counting on both encodings:
+    # with the cyclic collector off, 100 determinants leave nothing for it
+    matrices = [ladder_wronskian(ChainSpec(n, shift, Trig.SIN, count))
+                for n, shift, count in ((3, 0, 4), (4, 1, 6), (2, 0, 3), (2, 0, 6), (1, 2, 4))]
+    packed = [m for m in matrices if m.rows in matrix.PACKED_ORDERS and all(map(all, m._r))]
+    assert 0 < len(packed) < len(matrices)
+    gc.collect()
+    gc.disable()
+    try:
+        for m in islice(cycle(matrices), 100):
+            m.determinant()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_concurrent_cold_determinants_fill_shared_memos_safely():
+    # four threads take the same packed determinants on entries whose memos
+    # are empty, switching as often as the interpreter allows
+    specs = [ChainSpec(n, shift, kind, count) for n, shift, count in ((3, 0, 4), (4, 1, 6), (6, 2, 8))
+             for kind in (Trig.SIN, Trig.COS)]
+    want = [ladder_wronskian(spec).determinant() for spec in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(10):
+            matrices = [ExactMatrix([[TrigPoly(dict(e.p), dict(e.q)) for e in ladder_wronskian(spec).row(i)]
+                                     for i in range(spec.count)]) for spec in specs]
+            got = [None] * 4
+
+            def take(t):
+                got[t] = [m.determinant() for m in matrices]
+
+            threads = [threading.Thread(target=take, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), trial
+            assert got == [want] * 4, trial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_symbolic_sweep_packs_each_rung_once_per_width(monkeypatch):
+    # the wronskian suite at n <= 4, run twice: every rung keeps its packings
+    trigring.ladder_rung.cache_clear()
+    packed = []
+    pack = matrix._pack
+    monkeypatch.setattr(matrix, "_pack", lambda e, width: packed.append((e, width)) or pack(e, width))
+    plan = plan_checks(SuiteConfig(suites=("wronskian",), max_n=4))
+    for _ in range(2):
+        for _, check, args in plan:
+            assert check(*args).passed
+    per_rung = Counter((id(e), width) for e, width in packed)
+    assert per_rung and max(per_rung.values()) == 1
+    trigring.ladder_rung.cache_clear()
 
 
 @given(matched_square_pairs)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -13,6 +15,7 @@ from wronskit import (
     harmonic_step,
     is_constant,
     ladder_rung,
+    matrix,
     trigring,
 )
 from oracles import CIRCLE_POINTS, basis_element, central_difference, eval_exact, eval_float, random_trigpoly
@@ -248,3 +251,38 @@ def test_float_oracle_agrees_on_known_function():
     # sanity for the oracle itself: x sin x at 0.7
     f = basis_element(1, Trig.SIN)
     assert math.isclose(eval_float(f, 0.7), 0.7 * math.sin(0.7), rel_tol=1e-12)
+
+
+def test_a_filled_memo_leaves_the_value_as_it_was():
+    # the packed determinant's memo is a cache of the value: equality,
+    # hashing, printing, the p/q views and pickling read the value alone
+    for u in (ladder_rung(3, Trig.COS, 5, 0), S + 2 * C, TrigPoly.constant(3), S * S, TrigPoly()):
+        fresh = TrigPoly(dict(u.p), dict(u.q))
+        filled = TrigPoly(dict(u.p), dict(u.q))
+        if filled._linear_form():
+            assert matrix._pack(filled, 64) == filled._memo[2][64]
+        else:
+            assert filled._memo is False
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh) and str(filled) == str(fresh)
+        assert dict(filled.p) == dict(fresh.p) and dict(filled.q) == dict(fresh.q)
+        assert pickle.dumps(filled) == pickle.dumps(fresh)
+        for copied in (pickle.loads(pickle.dumps(filled)), copy.copy(filled), copy.deepcopy(filled)):
+            assert copied == fresh and copied._memo is None
+    assert (S + 2 * C)._linear_form() == [3, 0, {}]
+    assert (S * S)._linear_form() is False and TrigPoly.constant(3)._linear_form() is False
+
+
+def test_the_memo_is_stored_once_finished():
+    # a thread reading the memo while another fills it sees None, never a
+    # memo that the walk over the terms would still change
+    seen = []
+
+    class Watched(dict):
+        def items(self):
+            seen.append(u._memo)
+            return super().items()
+
+    u = TrigPoly._of(Watched({(1, 1): 2}), Watched({(0, 0): -3}))
+    assert u._linear_form() == [5, 1, {}] and u._memo == [5, 1, {}]
+    assert seen == [None, None]
