@@ -9,7 +9,6 @@ from .combinatorics import (
     binomial,
     check_even_binomial_sum,
     check_odd_binomial_sum,
-    falling_factorial,
 )
 from .independence import (
     ChainSpec,
@@ -73,7 +72,6 @@ __all__ = [
     "det_identity",
     "differentiate",
     "double_shift_matrix",
-    "falling_factorial",
     "first_difference",
     "harmonic_step",
     "is_constant",

@@ -1,10 +1,10 @@
 """Exact combinatorial primitives.
 
-Falling factorials, binomial coefficients with arbitrary rational upper
-argument (one at a time, or for int upper arguments a whole column
-C(x, 0..size-1) or whole rows C(x_j, i) as running products), and the two
-binomial-sum identity checkers used by the determinant verifiers, which
-keep their j-free weights per n in a bounded cache.
+Binomial coefficients with arbitrary rational upper argument (one at a
+time, or for int upper arguments a whole column C(x, 0..size-1) or whole
+rows C(x_j, i) as running products), and the two binomial-sum identity
+checkers used by the determinant verifiers, which keep their j-free weights
+per n in a bounded cache.
 All arithmetic is over int / fractions.Fraction; nothing here rounds.
 """
 
@@ -22,18 +22,8 @@ from .report import VerificationReport, finish_report
 Rat = int | Fraction
 
 
-def falling_factorial(x: Rat, n: int) -> Rat:
-    """x (x-1) ... (x-n+1), with the empty product 1 for n = 0."""
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    out: Rat = 1
-    for i in range(n):
-        out = out * (x - i)
-    return out
-
-
 def binomial(x: Rat, k: int) -> Rat:
-    """Binomial coefficient falling_factorial(x, k) / k! for rational x.
+    """Binomial coefficient x (x-1) ... (x-k+1) / k! for rational x.
 
     Integer x stays integer, including negative x, through
     C(x, k) = (-1)^k C(k - x - 1, k); for 0 <= x < k the value is 0.  For

@@ -61,9 +61,8 @@ def wronskian_hankel(spec: ChainSpec) -> ExactMatrix:
     differentiating a derivative chain just shifts its orders, so the matrix
     is Hankel: entry (i, j) = D^(shift+i+j-2) f.
     """
-    return ExactMatrix([
-        [ladder_rung(spec.n, spec.kind, spec.shift + i + j, 0) for j in range(spec.count)]
-        for i in range(spec.count)])
+    return _hankel([ladder_rung(spec.n, spec.kind, spec.shift + t, 0) for t in range(2 * spec.count - 1)],
+                   spec.count)
 
 
 # The most shift stacks, and as many class tables, that stay cached, each

@@ -5,19 +5,20 @@ that know it set it, and the public constructor learns it from one scan of
 the entries, refusing an entry of any other type.  Operations: a product
 over Z and Q that sums the right factor's rows, one per nonzero left entry;
 ``shift_rows``, an int matrix's product by a unit lower shift matrix as row
-additions, and ``shift_stack``, the paper's stack of such shifts on the
-identity; ``difference_determinant``, that stack run backwards as signed
-column differences, which makes every affine binomial matrix (step 1) and
-the coordinate checkerboard (step 2) triangular and checks that it did; one
-fraction-free (Bareiss) elimination for the rank over Z and Q and for every
-determinant that neither step reduces; a
-division-free determinant memoized over column subsets for TrigPoly
-entries (``_subset_minor``), whose minors are either packed ints, for a
-dense matrix of int linear forms A(x) c + B(x) s of order 4 to 8 (one int
-per coefficient of c^(k-e) s^e, by Kronecker substitution x = 2^W, each
-entry packed once per width and kept in its memo), or else TrigPoly values,
-each one TrigPoly.sum_of_products; and the interleave split of a
-checkerboard matrix.
+additions, which builds every shift matrix from ``identity``, and
+``shift_stack``, the paper's stack of such shifts on the identity; that
+stack run backwards as signed column differences
+(``_difference_determinant``), which makes every affine binomial matrix
+(step 1) and the coordinate checkerboard (step 2) triangular and checks
+that it did; one fraction-free (Bareiss) elimination for the rank over Z
+and Q and for every determinant that neither step reduces; a division-free
+determinant memoized over column subsets for TrigPoly entries
+(``_subset_minor``), whose minors are either packed ints, for a dense
+matrix of int linear forms A(x) c + B(x) s of order 4 to 8 (one int per
+coefficient of c^(k-e) s^e, by Kronecker substitution x = 2^W, each entry
+packed once per width and kept in its memo), or else TrigPoly values, each
+one TrigPoly.sum_of_products, the kernel that every TrigPoly operation goes
+through; and the interleave split of a checkerboard matrix.
 
 A matrix over Q holds no Fraction.  It is stored as integer numerator rows,
 each over one positive row denominator and in lowest terms, so equal
@@ -104,28 +105,19 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls.unit_lower(n, 1, n)
-
-    @classmethod
-    def unit_lower(cls, n: int, offset: int, start: int) -> "ExactMatrix":
-        """The n x n matrix with ones on the diagonal and at (i, i - offset)
-        for every row i >= start (0-indexed), zeros elsewhere; ValueError
-        unless 1 <= offset <= start <= n."""
-        _check_shift(n, offset, start)
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[i] = 1
-            if i >= start:
-                row[i - offset] = 1
-            rows.append(tuple(row))
-        return cls._of(tuple(rows), n, int)
+        """The n x n identity; ValueError unless n >= 1.  Each shift matrix
+        is ``identity(n).shift_rows(offset, start)``."""
+        if n < 1:
+            raise ValueError(f"identity needs n >= 1, got {n}")
+        zeros = (0,) * n
+        return cls._of(tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)), n, int)
 
     @classmethod
     def shift_stack(cls, n: int, step: int) -> "ExactMatrix":
-        """The product of unit_lower(n, step, start) over start = step, 2 step,
-        ... below n, the last leftmost, as ``shift_rows`` on the identity.  Row
-        i holds the coefficients of z^(i mod step) (1 + z^step)^(i//step)."""
+        """The product of the shift matrices identity(n).shift_rows(step,
+        start) over start = step, 2 step, ... below n, the last leftmost, as
+        ``shift_rows`` on the identity.  Row i holds the coefficients of
+        z^(i mod step) (1 + z^step)^(i//step)."""
         if step < 1:
             raise ValueError(f"shift step must be >= 1, got {step}")
         stack = cls.identity(n)
@@ -134,10 +126,16 @@ class ExactMatrix:
         return stack
 
     def shift_rows(self, offset: int, start: int) -> "ExactMatrix":
-        """``unit_lower(self.rows, offset, start) @ self`` for an int matrix
-        (TypeError otherwise), as row additions in one C-level map: rows
-        before start are shared, and row i >= start gains row i - offset."""
-        _check_shift(len(self._r), offset, start)
+        """The product L @ self for an int matrix (TypeError otherwise) and
+        the unit lower shift matrix L with ones on the diagonal and at
+        (i, i - offset) for every row i >= start (0-indexed), as row additions
+        in one C-level map: rows before start are shared, and row i >= start
+        gains row i - offset.  ValueError unless 1 <= offset <= start <= the
+        row count."""
+        n = len(self._r)
+        if not 1 <= offset <= start <= n:
+            raise ValueError(f"row shift needs 1 <= offset <= start <= n, got n={n}, "
+                             f"offset={offset}, start={start}")
         if self._ring is not int:
             raise TypeError("row shifts need an int matrix")
         rows = self._r
@@ -252,9 +250,10 @@ class ExactMatrix:
             return r, sign * prev
         return r, Fraction(sign * prev, math.prod(self._den))
 
-    def difference_determinant(self, step: int = 1) -> Entry | None:
-        """The determinant by signed column differences, or None where they
-        do not make the matrix triangular.  Rows and columns are 0-indexed.
+    def _difference_determinant(self, step: int) -> Entry | None:
+        """The determinant of a square int or rational matrix by signed column
+        differences at a step >= 1, or None where they do not make the matrix
+        triangular.  Rows and columns are 0-indexed.
 
         Round k = 1, 2, ... subtracts column j - step from column j for every
         j >= step k, all at once: a unit upper triangular column transform,
@@ -278,18 +277,9 @@ class ExactMatrix:
         subtraction.  Otherwise the determinant is the diagonal product,
         exact: over Q it is Fraction(product, product of the row
         denominators), as ``_bareiss`` gives it.  O(n^3 / step) subtractions
-        and no division; a TrigPoly or non-square matrix gives None, and a
-        step below 1 raises ValueError.
+        and no division.  ``determinant`` has checked the matrix and passes
+        step 1, then step 2.
         """
-        if step < 1:
-            raise ValueError(f"difference step must be >= 1, got {step}")
-        if len(self._r) != self._cols or self._ring is TrigPoly:
-            return None
-        return self._difference_determinant(step)
-
-    def _difference_determinant(self, step: int) -> Entry | None:
-        """``difference_determinant(step)`` for a square int or rational
-        matrix and a step >= 1, which the caller has checked."""
         det = 1
         for i, row in enumerate(self._r):
             for _ in range(i // step):
@@ -305,7 +295,7 @@ class ExactMatrix:
     def determinant(self) -> Entry:
         """Exact determinant of a square matrix.
 
-        Integer and rational matrices try ``difference_determinant`` with
+        Integer and rational matrices try ``_difference_determinant`` with
         step 1, which reduces every affine binomial matrix in O(n^3)
         subtractions (order 100 in 20 to 35 ms, against 1.4 to 3.6 s of
         elimination), then step 2, which reduces the coordinate checkerboard,
@@ -620,13 +610,6 @@ def _scan_ring(rows: tuple[tuple[Entry, ...], ...]) -> type:
         bad = ", ".join(sorted(t.__name__ for t in kinds - _RINGS))
         raise TypeError(f"matrix entries must be int, Fraction or TrigPoly, not {bad}")
     return TrigPoly if TrigPoly in kinds else Fraction if Fraction in kinds else int
-
-
-def _check_shift(n: int, offset: int, start: int) -> None:
-    """ValueError unless the shift stays inside n rows: 1 <= offset <= start <= n."""
-    if not 1 <= offset <= start <= n:
-        raise ValueError(f"row shift needs 1 <= offset <= start <= n, got n={n}, "
-                         f"offset={offset}, start={start}")
 
 
 def _ratio(v: int, d: int) -> int | Fraction:

@@ -64,7 +64,7 @@ def row_shift_matrix(n: int, k: int) -> ExactMatrix:
     original rows k..n-1 to the row below it, all at once.  Valid 1 <= k <= n-1."""
     if n < 2 or not 1 <= k <= n - 1:
         raise ValueError(f"row shift needs n >= 2 and 1 <= k <= n-1, got n={n}, k={k}")
-    return ExactMatrix.unit_lower(n, 1, k)
+    return ExactMatrix.identity(n).shift_rows(1, k)
 
 
 def double_shift_matrix(n: int, k: int) -> ExactMatrix:
@@ -75,7 +75,7 @@ def double_shift_matrix(n: int, k: int) -> ExactMatrix:
     top = (n + 1) // 2 - 1
     if not 1 <= k <= top:
         raise ValueError(f"double shift needs 1 <= k <= {top} for n={n}, got k={k}")
-    return ExactMatrix.unit_lower(n, 2, 2 * k)
+    return ExactMatrix.identity(n).shift_rows(2, 2 * k)
 
 
 def _row_shift(spec: MatrixSpec) -> ExactMatrix:
@@ -103,15 +103,14 @@ def _lower_halving(spec: MatrixSpec) -> ExactMatrix:
 def _scaled_pascal(spec: MatrixSpec) -> ExactMatrix:
     n = spec.n
     _need_size(n)
-    # row i is 2^i times column i of the Pascal rows (0-indexed)
-    pascal = [binomial_column(j, n) for j in range(n)]
-    rows = tuple(tuple([c << i for c in col]) for i, col in enumerate(zip(*pascal)))
+    # row i is 2^i C(j, i) over j (0-indexed)
+    rows = tuple(tuple([c << i for c in row]) for i, row in enumerate(binomial_rows(range(n), n)))
     return ExactMatrix._of(rows, n, int)
 
 
 def _bidiagonal(spec: MatrixSpec) -> ExactMatrix:
     _need_size(spec.n)
-    return ExactMatrix.unit_lower(spec.n, 1, 1)
+    return ExactMatrix.identity(spec.n).shift_rows(1, 1)
 
 
 def _pascal(spec: MatrixSpec) -> ExactMatrix:

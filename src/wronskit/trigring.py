@@ -16,11 +16,12 @@ has one private memo slot, which the packed determinant (matrix.py) fills on
 first use with facts derived from the value and never changes the value:
 equality, hashing, printing and pickling ignore it.
 
-Every product of two elements goes through one kernel,
-``TrigPoly.sum_of_products``: it accumulates a whole signed sum of products
-into one pair of term dicts, so a determinant's cofactor expansion or an
-entry of a Hankel conjugation S H S^T (independence._conjugated_entry)
-builds no intermediate product and copies no partial sum.
+Every operation (+, -, unary -, the product of two elements or of an
+element and a scalar) goes through one kernel, ``TrigPoly.sum_of_products``:
+it accumulates a whole signed sum of products into one pair of term dicts,
+so a determinant's cofactor expansion or an entry of a Hankel conjugation
+S H S^T (independence._conjugated_entry) builds no intermediate product and
+copies no partial sum.
 
 Every derivative and (D^2+1)-ladder rung of x^n trig has a closed form
 (ladder_rung), tested against differentiate and harmonic_step, the ring's own
@@ -52,27 +53,6 @@ class Trig(Enum):
 
 def _clean(t: Terms) -> Terms:
     return {m: v for m, v in t.items() if v}
-
-
-def _add(a: Terms, b: Terms) -> Terms:
-    out = dict(a)
-    for m, v in b.items():
-        w = out.get(m, 0) + v
-        if w:
-            out[m] = w
-        elif m in out:
-            del out[m]
-    return out
-
-
-def _neg(a: Terms) -> Terms:
-    return {m: -v for m, v in a.items()}
-
-
-def _scale(a: Terms, k: Coeff) -> Terms:
-    if not k:
-        return {}
-    return {m: v * k for m, v in a.items()}
 
 
 class TrigPoly:
@@ -141,22 +121,15 @@ class TrigPoly:
     def zero() -> "TrigPoly":
         return TrigPoly()
 
-    @staticmethod
-    def _coerce(v) -> "TrigPoly | None":
-        if isinstance(v, TrigPoly):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return TrigPoly.constant(v)
-        return None
-
     def __bool__(self) -> bool:
         return bool(self._p or self._q)
 
     def __eq__(self, other) -> bool:
-        o = TrigPoly._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._p == o._p and self._q == o._q
+        if isinstance(other, TrigPoly):
+            return self._p == other._p and self._q == other._q
+        if isinstance(other, (int, Fraction)):
+            return is_constant(self) == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         # well defined because the canonical form is unique; a constant equals
@@ -167,34 +140,29 @@ class TrigPoly:
         return hash((frozenset(self._p.items()), frozenset(self._q.items())))
 
     def __add__(self, other):
-        o = TrigPoly._coerce(other)
-        if o is None:
+        if not isinstance(other, (TrigPoly, int, Fraction)):
             return NotImplemented
-        return TrigPoly._of(_add(self._p, o._p), _add(self._q, o._q))
+        return TrigPoly.sum_of_products(((1, self, 1), (1, other, 1)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigPoly._of(_neg(self._p), _neg(self._q))
+        return TrigPoly.sum_of_products(((-1, self, 1),))
 
     def __sub__(self, other):
-        o = TrigPoly._coerce(other)
-        if o is None:
+        if not isinstance(other, (TrigPoly, int, Fraction)):
             return NotImplemented
-        return TrigPoly._of(_add(self._p, _neg(o._p)), _add(self._q, _neg(o._q)))
+        return TrigPoly.sum_of_products(((1, self, 1), (-1, other, 1)))
 
     def __rsub__(self, other):
-        o = TrigPoly._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o.__sub__(self)
+        return TrigPoly.sum_of_products(((1, other, 1), (-1, self, 1)))
 
     def __mul__(self, other):
-        if isinstance(other, TrigPoly):
-            return TrigPoly.sum_of_products(((1, self, other),))
-        if isinstance(other, (int, Fraction)):
-            return TrigPoly._of(_scale(self._p, other), _scale(self._q, other))
-        return NotImplemented
+        if not isinstance(other, (TrigPoly, int, Fraction)):
+            return NotImplemented
+        return TrigPoly.sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -204,7 +172,8 @@ class TrigPoly:
         Fraction and u, v each a TrigPoly, int or Fraction.  An empty sum is
         zero.  A determinant's minor passes signs as k and two entries; an
         entry of a Hankel conjugation passes each convolution coefficient as
-        k, one Hankel value and the int 1.
+        k, one Hankel value and the int 1; +, - and unary - pass each operand
+        as (1 or -1, operand, 1), and * its two operands under k = 1.
 
         Every product is added straight into one p dict and one q dict, using
         (p1 + s q1)(p2 + s q2) = p1 p2 + (1 - c^2) q1 q2 + s (p1 q2 + q1 p2),

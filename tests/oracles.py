@@ -7,8 +7,9 @@ the matrix product a plain triple sum over every entry, zero or not (a
 conjugation S M S^T is two of them), the binomial sums add Fraction terms
 with math.comb or, by definition term by term, integer numerators over
 2^(n-1) with every factor rebuilt for each (n, j), x^n sin x and x^n cos x
-are written as literal terms, and derivatives are cross-checked by floating
-central differences.
+are written as literal terms, a sum of TrigPoly products multiplies out
+monomials in (x, c, s) and reduces s^2 once, never calling a TrigPoly
+operator, and derivatives are cross-checked by floating central differences.
 """
 
 from __future__ import annotations
@@ -73,6 +74,48 @@ def product_by_definition(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def conjugate_by_definition(stack: ExactMatrix, middle: ExactMatrix) -> ExactMatrix:
     """S M S^T as two products by definition."""
     return product_by_definition(product_by_definition(stack, middle), stack.transpose())
+
+
+def falling_factorial(x, n: int):
+    """x (x-1) ... (x-n+1), with the empty product 1 for n = 0."""
+    if n < 0:
+        raise ValueError("falling factorial needs n >= 0")
+    out = 1
+    for i in range(n):
+        out = out * (x - i)
+    return out
+
+
+def _monomials(u) -> dict:
+    """u, a TrigPoly, int or Fraction, as {(x degree, c degree, s degree): coefficient}."""
+    if not isinstance(u, TrigPoly):
+        return {(0, 0, 0): u}
+    out = {(x, c, 0): v for (x, c), v in u.p.items()}
+    out.update({(x, c, 1): v for (x, c), v in u.q.items()})
+    return out
+
+
+def sum_of_products_by_terms(terms) -> TrigPoly:
+    """The sum of k * u * v over the (k, u, v) terms, u and v each a TrigPoly,
+    int or Fraction: every pair of monomials multiplied out in Q[x, c, s],
+    then each s^2 replaced by 1 - c^2, and the result handed to the TrigPoly
+    constructor.  No TrigPoly operator is called."""
+    total: dict = {}
+    for k, u, v in terms:
+        for (xa, ca, sa), a in _monomials(u).items():
+            for (xb, cb, sb), b in _monomials(v).items():
+                m = (xa + xb, ca + cb, sa + sb)
+                total[m] = total.get(m, 0) + k * a * b
+    p: dict = {}
+    q: dict = {}
+    for (x, c, s), v in total.items():
+        if s == 1:
+            q[x, c] = q.get((x, c), 0) + v
+        else:
+            p[x, c] = p.get((x, c), 0) + v
+            if s == 2:
+                p[x, c + 2] = p.get((x, c + 2), 0) - v
+    return TrigPoly(p, q)
 
 
 def basis_element(power: int, kind: Trig) -> TrigPoly:

@@ -381,6 +381,24 @@ def test_matrix_and_identity_past_the_digit_limit_exit_2(capsys):
             "cannot render an exact value: it has more digits than sys.get_int_max_str_digits() = 640"]
 
 
+def test_no_command_changes_the_int_digit_limit(monkeypatch, capsys):
+    # the digit limit is process-global: a library reads it and never sets it
+    def refuse(limit):
+        raise AssertionError(f"sys.set_int_max_str_digits({limit}) called")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    limit = sys.get_int_max_str_digits()
+    past = 0 < limit < 4917  # the n = 40 Wronskian has 4917 digits
+    for argv, code in ((["verify", "--suite", "all", "--max-n", "2"], 0),
+                       (["verify", "--suite", "all", "--max-n", "2", "--format", "markdown"], 0),
+                       (["wronskian", "--n", "3"], 0),
+                       (["wronskian", "--n", "40"], 2 if past else 0),
+                       (["matrix", "--kind", "binom-nodes", "--nodes", "1,3/2,4"], 0),
+                       (["identity", "--which", "even", "--n", "6", "--j", "9"], 0)):
+        assert main(argv) == code, argv
+        assert capsys.readouterr().out or code == 2, argv
+
+
 def test_large_shifts_run(tmp_path, capsys):
     assert main(["wronskian", "--n", "1", "--shift", "600"]) == 0
     assert capsys.readouterr().out.strip().endswith(": 16")

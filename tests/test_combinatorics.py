@@ -4,17 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from wronskit import (
-    binomial,
-    check_even_binomial_sum,
-    check_odd_binomial_sum,
-    falling_factorial,
-)
+from wronskit import binomial, check_even_binomial_sum, check_odd_binomial_sum
 from wronskit import combinatorics
 from wronskit.combinatorics import SUM_WEIGHTS_CACHE_SIZE, binomial_column, common_denominator
 from oracles import (
     even_binomial_sum_by_fractions,
     even_binomial_sum_term_by_term,
+    falling_factorial,
     odd_binomial_sum_by_fractions,
     odd_binomial_sum_term_by_term,
 )

@@ -19,7 +19,6 @@ from wronskit import (
     coordinate_matrix,
     coordinates_in_basis,
     differentiate,
-    falling_factorial,
     first_difference,
     harmonic_step,
     is_constant,
@@ -42,6 +41,7 @@ from oracles import (
     basis_element,
     conjugate_by_definition,
     determinant_by_permutations,
+    falling_factorial,
     from_fn,
     rank_by_elimination,
 )

@@ -716,10 +716,19 @@ def test_products_transposes_and_unit_lower_declare_their_scanned_ring(factors, 
     _check_ring(product)
     _check_ring(product.transpose())
     offset = min(offset, n)
-    unit = ExactMatrix.unit_lower(n, offset, min(max(start, offset), n))
+    start = min(max(start, offset), n)
+    unit = ExactMatrix.identity(n).shift_rows(offset, start)
+    assert unit == _shift_by_definition(n, offset, start)
     _check_ring(unit)
     _check_ring(unit.transpose())
     _check_ring(unit @ unit)
+
+
+def _shift_by_definition(n: int, offset: int, start: int) -> ExactMatrix:
+    """The unit lower shift matrix that shift_rows(offset, start) multiplies
+    by, entry by entry: ones on the diagonal and at (i, i - offset) in every
+    row i past start (1-indexed), zeros elsewhere."""
+    return from_fn(n, n, lambda i, j: 1 if i == j or (i - j == offset and i > start) else 0)
 
 
 RATS = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
@@ -798,7 +807,7 @@ def test_shift_rows_is_the_unit_lower_product(rows, offset, integral_fractions):
     n = m.rows
     for start in range(offset, n + 1):
         got = m.shift_rows(offset, start)
-        unit = ExactMatrix.unit_lower(n, offset, start)
+        unit = _shift_by_definition(n, offset, start)
         assert got == unit @ m == product_by_definition(unit, m), (offset, start)
         assert all(got._r[i] is m._r[i] for i in range(start))
         _check_ring(got)
@@ -818,7 +827,7 @@ def test_shift_rows_takes_int_matrices_and_shifts_inside_them(n_rows, offset, st
             with pytest.raises(TypeError, match="row shifts need an int matrix"):
                 ExactMatrix(rows).shift_rows(offset, start)
         return
-    for op in (lambda: m.shift_rows(offset, start), lambda: ExactMatrix.unit_lower(n, offset, start)):
+    for op in (lambda: m.shift_rows(offset, start), lambda: ExactMatrix.identity(n).shift_rows(offset, start)):
         with pytest.raises(ValueError, match="row shift needs 1 <= offset <= start <= n"):
             op()
 
@@ -957,7 +966,7 @@ def _same_as_oracles(det, m: ExactMatrix) -> None:
 @settings(deadline=None, max_examples=150)
 def test_differences_reduce_every_affine_binomial_matrix(a, b, size):
     m = _nodes_matrix([a * j + b for j in range(1, size + 1)])
-    det = m.difference_determinant()
+    det = m._difference_determinant(1)
     assert det is not None, m.pretty()
     assert det == Fraction(a) ** math.comb(size, 2)
     _same_as_oracles(det, m)
@@ -970,14 +979,14 @@ def test_differences_refuse_nodes_off_an_arithmetic_progression(nodes):
     # row 1 is x_j itself: its second differences vanish only on a progression
     assume(any(x - 2 * y + z for x, y, z in zip(nodes, nodes[1:], nodes[2:])))
     m = _nodes_matrix(nodes)
-    assert m.difference_determinant() is None
+    assert m._difference_determinant(1) is None
     assert m.determinant() == m._bareiss()[1]
 
 
 @given(_exact_matrices(square=True), st.integers(1, 3))
 @settings(deadline=None, max_examples=150)
 def test_differences_on_random_matrices_are_none_or_the_determinant(m, step):
-    det = m.difference_determinant(step)
+    det = m._difference_determinant(step)
     if det is not None:
         _same_as_oracles(det, m)
 
@@ -992,7 +1001,7 @@ def test_differences_reduce_row_combinations_of_an_affine_matrix(case):
     size = len(rows)
     lower = ExactMatrix([[v if j <= i else 0 for j, v in enumerate(row)] for i, row in enumerate(rows)])
     m = lower @ _nodes_matrix([a * j + b for j in range(1, size + 1)])
-    det = m.difference_determinant()
+    det = m._difference_determinant(1)
     assert det is not None, m.pretty()
     _same_as_oracles(det, m)
 
@@ -1006,11 +1015,11 @@ def test_one_changed_entry_is_never_reported_triangular(a, b, size, data):
     delta = data.draw(SLOPES)
     rows = [list(m.row(r)) for r in range(size)]
     rows[i][j] += delta
-    assert ExactMatrix(rows).difference_determinant() is None
+    assert ExactMatrix(rows)._difference_determinant(1) is None
     rows[i][j] -= delta
     rows[-1][j] += delta  # the last row has nothing right of its diagonal to break
     changed = ExactMatrix(rows)
-    _same_as_oracles(changed.difference_determinant(), changed)
+    _same_as_oracles(changed._difference_determinant(1), changed)
 
 
 @given(st.integers(1, 20), st.data())
@@ -1019,20 +1028,24 @@ def test_double_shift_differences_reduce_the_coordinate_checkerboard(n, data):
     size = 2 * n + 2
     pattern = binomial_pattern_matrix(n)
     for m in (pattern, scaled_coordinate_matrix(coordinate_matrix(n), n)):
-        assert m.difference_determinant(2) == m.determinant() == 2 ** (n * (n + 1))
+        assert m._difference_determinant(2) == m.determinant() == 2 ** (n * (n + 1))
     # an off-parity entry in any row but the last breaks the checkerboard
     i = data.draw(st.integers(0, size - 2))
     j = data.draw(st.sampled_from(range(1 - i % 2, size, 2)))
     rows = [list(pattern.row(r)) for r in range(size)]
     rows[i][j] = data.draw(SLOPES)
     broken = ExactMatrix(rows)
-    assert broken.difference_determinant(2) is None
+    assert broken._difference_determinant(2) is None
     _same_as_oracles(broken.determinant(), broken)
 
 
-def test_differences_take_no_trig_or_non_square_matrix():
-    assert ExactMatrix([[S, C], [C, S]]).difference_determinant() is None
-    assert ExactMatrix([[1, 1, 1], [1, 2, 3]]).difference_determinant() is None
-    assert ExactMatrix([[Fraction(3, 2)]]).difference_determinant() == Fraction(3, 2)
-    with pytest.raises(ValueError, match="step must be >= 1"):
-        ExactMatrix([[1]]).difference_determinant(0)
+def test_differences_take_no_trig_or_non_square_matrix(monkeypatch):
+    assert ExactMatrix([[Fraction(3, 2)]]).determinant() == Fraction(3, 2)
+
+    def refuse(self, step):
+        raise AssertionError("column differences reached")
+
+    monkeypatch.setattr(ExactMatrix, "_difference_determinant", refuse)
+    assert ExactMatrix([[S, C], [C, S]]).determinant() == TrigPoly({(0, 0): 1, (0, 2): -2})
+    with pytest.raises(ValueError, match="determinant needs a square matrix"):
+        ExactMatrix([[1, 1, 1], [1, 2, 3]]).determinant()

@@ -53,6 +53,27 @@ def test_every_import_is_used():
     assert unused == {}
 
 
+def _uncalled_helpers(package: Path) -> list[str]:
+    """The underscore-named functions and methods defined in the package's
+    modules (dunder methods, which Python calls, left out) that no name or
+    attribute anywhere in the package reads outside their own body."""
+    defined = []
+    read = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__"):
+                defined.append((path.name, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                read.append((path.name, node.id if isinstance(node, ast.Name) else node.attr, node.lineno))
+    return sorted(f"{module}:{name}" for module, name, first, last in defined
+                  if not any(n == name and not (m == module and first <= line <= last) for m, n, line in read))
+
+
+def test_every_private_helper_has_a_caller():
+    # a mention in a docstring or comment is no caller: names come from the syntax tree
+    assert _uncalled_helpers(Path(wronskit.__file__).parent) == []
+
+
 # The import guard: what `import wronskit` and `import wronskit.cli` add to a
 # bare interpreter must leave out these stdlib modules, which no check needs
 # and whose import every fresh process would pay (dataclasses pulls in

@@ -18,7 +18,15 @@ from wronskit import (
     matrix,
     trigring,
 )
-from oracles import CIRCLE_POINTS, basis_element, central_difference, eval_exact, eval_float, random_trigpoly
+from oracles import (
+    CIRCLE_POINTS,
+    basis_element,
+    central_difference,
+    eval_exact,
+    eval_float,
+    random_trigpoly,
+    sum_of_products_by_terms,
+)
 
 S = basis_element(0, Trig.SIN)
 C = basis_element(0, Trig.COS)
@@ -194,6 +202,14 @@ def test_ring_results_store_no_zero_coefficient(u, v, k):
         assert _stores_no_zero(w), w
     assert not (u - u) and not (u + (-u)) and not (u * 0) and not differentiate(TrigPoly.constant(k))
     assert not cancelling
+    # every operator is one sum_of_products call: each against the term-dict
+    # sum of the oracle, which calls no TrigPoly operator
+    for got, terms in ((u + v, [(1, u, 1), (1, v, 1)]), (u - v, [(1, u, 1), (-1, v, 1)]),
+                       (-u, [(-1, u, 1)]), (u * v, [(1, u, v)]), (u * k, [(k, u, 1)]),
+                       (k * u, [(1, k, u)]), (u + k, [(1, u, 1), (1, k, 1)]),
+                       (k + u, [(1, k, 1), (1, u, 1)]), (u - k, [(1, u, 1), (-1, k, 1)]),
+                       (k - u, [(1, k, 1), (-1, u, 1)])):
+        assert got == sum_of_products_by_terms(terms), (got, terms)
 
 
 @given(signed_terms)
@@ -204,10 +220,7 @@ def test_ring_results_store_no_zero_coefficient(u, v, k):
 def test_sum_of_products_matches_the_naive_sum(terms):
     got = TrigPoly.sum_of_products(terms)
     assert isinstance(got, TrigPoly) and _stores_no_zero(got)
-    naive = 0
-    for k, u, v in terms:
-        naive = naive + k * u * v
-    assert got == naive
+    assert got == sum_of_products_by_terms(terms)
     # exact values at rational points of the circle, independent of the ring code
     for x in (Fraction(1, 2), Fraction(-3)):
         for s, c in CIRCLE_POINTS:
